@@ -112,9 +112,10 @@ struct Backend {
     GridSpec spec;
     spec.datasets = kDatasets;
     ids = adr::create_grid_datasets(repo, spec);
-    server = std::make_unique<adr::net::AdrServer>(
-        repo, /*port=*/0, adr::ComputeCosts{}, /*max_connections=*/64,
-        /*scheduler_workers=*/1);
+    adr::RuntimeConfig runtime;
+    runtime.scheduler_workers = 1;
+    server = std::make_unique<adr::net::AdrServer>(repo, /*port=*/0, adr::ComputeCosts{},
+                                                   runtime);
     server->start();
   }
   ~Backend() { server->stop(); }

@@ -1064,54 +1064,39 @@ bool QuerySubmissionService::ticket_pending_locked(std::uint64_t ticket) const {
 
 QuerySubmissionService::Outcome QuerySubmissionService::take(std::uint64_t ticket) {
   std::unique_lock lock(mutex_);
-  Outcome out;
   if (ticket == 0 || ticket >= next_ticket_) {
-    out.status = Status::make(StatusCode::kNotFound, "unknown ticket");
-    return out;
+    return Outcome{Status::make(StatusCode::kNotFound, "unknown ticket"), {}};
   }
   // Wake on finish *or* on the ticket vanishing (another take() already
-  // drained it) — waiting only on the outcome maps would block forever
+  // drained it) — waiting only on the outcome map would block forever
   // for a ticket taken twice.
   done_cv_.wait(lock, [&]() {
-    return results_.contains(ticket) || errors_.contains(ticket) ||
-           !ticket_pending_locked(ticket);
+    return outcomes_.contains(ticket) || !ticket_pending_locked(ticket);
   });
-  if (auto it = results_.find(ticket); it != results_.end()) {
-    out.result = std::move(it->second);
-    results_.erase(it);
-    // A second waiter on this ticket must wake and observe it gone.
-    done_cv_.notify_all();
-  } else if (auto eit = errors_.find(ticket); eit != errors_.end()) {
-    out.status = std::move(eit->second);
-    errors_.erase(eit);
-    done_cv_.notify_all();
-  } else {
-    out.status = Status::make(StatusCode::kNotFound, "ticket already taken");
+  auto it = outcomes_.find(ticket);
+  if (it == outcomes_.end()) {
+    return Outcome{Status::make(StatusCode::kNotFound, "ticket already taken"), {}};
   }
+  Outcome out = std::move(it->second);
+  outcomes_.erase(it);
+  // A second waiter on this ticket must wake and observe it gone.
+  done_cv_.notify_all();
   return out;
 }
 
 std::optional<QuerySubmissionService::Outcome> QuerySubmissionService::try_take(
     std::uint64_t ticket) {
   std::lock_guard lock(mutex_);
-  Outcome out;
   if (ticket == 0 || ticket >= next_ticket_) {
-    out.status = Status::make(StatusCode::kNotFound, "unknown ticket");
-    return out;
+    return Outcome{Status::make(StatusCode::kNotFound, "unknown ticket"), {}};
   }
-  if (auto it = results_.find(ticket); it != results_.end()) {
-    out.result = std::move(it->second);
-    results_.erase(it);
-    return out;
-  }
-  if (auto it = errors_.find(ticket); it != errors_.end()) {
-    out.status = std::move(it->second);
-    errors_.erase(it);
+  if (auto it = outcomes_.find(ticket); it != outcomes_.end()) {
+    Outcome out = std::move(it->second);
+    outcomes_.erase(it);
     return out;
   }
   if (!ticket_pending_locked(ticket)) {
-    out.status = Status::make(StatusCode::kNotFound, "ticket already taken");
-    return out;
+    return Outcome{Status::make(StatusCode::kNotFound, "ticket already taken"), {}};
   }
   return std::nullopt;  // still queued or running
 }
@@ -1182,11 +1167,7 @@ void QuerySubmissionService::form_gang_locked(std::vector<Pending>& gang) {
 
 void QuerySubmissionService::finish_locked(std::uint64_t ticket, std::uint64_t client,
                                            Outcome&& outcome) {
-  if (outcome.ok()) {
-    results_.emplace(ticket, std::move(outcome.result));
-  } else {
-    errors_.emplace(ticket, std::move(outcome.status));
-  }
+  outcomes_.emplace(ticket, std::move(outcome));
   busy_clients_.erase(client);
   running_.erase(ticket);
   --in_flight_;
@@ -1442,17 +1423,6 @@ std::size_t QuerySubmissionService::process_all() {
   }
 }
 
-const QueryResult* QuerySubmissionService::wait(std::uint64_t ticket) {
-  std::unique_lock lock(mutex_);
-  if (ticket == 0 || ticket >= next_ticket_) return nullptr;
-  done_cv_.wait(lock, [&]() {
-    return results_.contains(ticket) || errors_.contains(ticket) ||
-           !ticket_pending_locked(ticket);  // e.g. drained by take()
-  });
-  auto it = results_.find(ticket);
-  return it == results_.end() ? nullptr : &it->second;
-}
-
 std::size_t QuerySubmissionService::drain() {
   std::unique_lock lock(mutex_);
   const std::uint64_t before = completed_;
@@ -1463,18 +1433,6 @@ std::size_t QuerySubmissionService::drain() {
 std::size_t QuerySubmissionService::pending() const {
   std::lock_guard lock(mutex_);
   return queue_.size() + in_flight_;
-}
-
-const QueryResult* QuerySubmissionService::result(std::uint64_t ticket) const {
-  std::lock_guard lock(mutex_);
-  auto it = results_.find(ticket);
-  return it == results_.end() ? nullptr : &it->second;
-}
-
-const std::string* QuerySubmissionService::error(std::uint64_t ticket) const {
-  std::lock_guard lock(mutex_);
-  auto it = errors_.find(ticket);
-  return it == errors_.end() ? nullptr : &it->second.message;
 }
 
 std::optional<Chunk> Repository::read_chunk(std::uint32_t dataset_id,

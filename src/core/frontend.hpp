@@ -482,9 +482,9 @@ class QuerySubmissionService {
   };
 
   /// Blocks until the ticket's query finishes, then removes its outcome
-  /// from the service and returns it.  Unlike the deprecated
-  /// wait()/result() accessors the service retains nothing afterwards,
-  /// so a long-running server's results map cannot grow without bound.
+  /// from the service and returns it.  The service retains nothing
+  /// afterwards, so a long-running server's outcome map cannot grow
+  /// without bound.
   /// An unknown or already-taken ticket returns a kNotFound outcome
   /// immediately.  Note: a ticket accepted but never dispatched (no
   /// pool running and no process_all() in sight) blocks until someone
@@ -506,25 +506,6 @@ class QuerySubmissionService {
 
   /// Queued plus in-flight queries.
   std::size_t pending() const;
-
-  /// Blocks until the ticket's query finishes; returns its result, or
-  /// nullptr if the ticket is unknown or its query failed.
-  /// Deprecated: results accumulate in the service for its lifetime —
-  /// use take()/try_take(), which release the slot.
-  [[deprecated("unbounded retention; use take()/try_take()")]]
-  const QueryResult* wait(std::uint64_t ticket);
-
-  /// Result for a ticket, or nullptr if unknown / not yet processed /
-  /// failed.  The pointer stays valid for the service's lifetime.
-  /// Deprecated: unbounded retention — use try_take().
-  [[deprecated("unbounded retention; use take()/try_take()")]]
-  const QueryResult* result(std::uint64_t ticket) const;
-
-  /// Error text for a failed ticket, or nullptr.
-  /// Deprecated: unbounded retention — use take()/try_take(), whose
-  /// Outcome carries the typed Status.
-  [[deprecated("unbounded retention; use take()/try_take()")]]
-  const std::string* error(std::uint64_t ticket) const;
 
  private:
   struct Pending {
@@ -583,8 +564,8 @@ class QuerySubmissionService {
   std::unordered_set<std::uint64_t> running_;
   std::size_t in_flight_ = 0;
   std::uint64_t completed_ = 0;
-  std::map<std::uint64_t, QueryResult> results_;
-  std::map<std::uint64_t, Status> errors_;
+  /// Finished outcomes awaiting take()/try_take().
+  std::map<std::uint64_t, Outcome> outcomes_;
   std::uint64_t next_ticket_ = 1;
   /// EWMA of recent per-query execution wall seconds (atomic double
   /// bits; updated outside mutex_ after each run).  Feeds the predictive

@@ -16,9 +16,9 @@
 //   rt.check();                       // throws kInvalidArgument on nonsense
 //   adr::net::AdrServer server(repo, port, costs, rt);
 //
-// The pre-existing constructors survive as thin shims so older call
-// sites keep compiling; new code should prefer the RuntimeConfig
-// overloads.
+// AdrServer takes only this form.  Repository and
+// QuerySubmissionService keep their older constructors alongside the
+// RuntimeConfig overloads.
 #pragma once
 
 #include <chrono>

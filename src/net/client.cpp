@@ -1,8 +1,5 @@
 #include "net/client.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -101,20 +98,8 @@ bool AdrClient::connected() const {
 }
 
 bool AdrClient::connect_locked() {
-  if (fd_ >= 0) return true;
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port_);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return false;
-  }
-  set_tcp_nodelay(fd);
-  fd_ = fd;
-  return true;
+  if (fd_ < 0) fd_ = connect_loopback(port_);
+  return fd_ >= 0;
 }
 
 std::optional<WireResult> AdrClient::attempt_locked(const Query& query,
@@ -148,16 +133,16 @@ std::optional<WireResult> AdrClient::attempt_locked(const Query& query,
   return result;
 }
 
-std::chrono::milliseconds AdrClient::backoff_delay(int retry,
-                                                   std::uint32_t hint_ms) {
-  double ms = static_cast<double>(policy_.initial_backoff.count());
-  for (int i = 1; i < retry; ++i) ms *= policy_.backoff_multiplier;
-  ms = std::min(ms, static_cast<double>(policy_.max_backoff.count()));
-  if (policy_.jitter > 0.0) {
-    const double u = next_unit(jitter_state_);  // [0,1)
-    ms *= 1.0 - policy_.jitter + 2.0 * policy_.jitter * u;
+std::chrono::milliseconds RetryPolicy::backoff(int retry, std::uint32_t hint_ms,
+                                               std::uint64_t& jitter_state) const {
+  double ms = static_cast<double>(initial_backoff.count());
+  for (int i = 1; i < retry; ++i) ms *= backoff_multiplier;
+  ms = std::min(ms, static_cast<double>(max_backoff.count()));
+  if (jitter > 0.0) {
+    const double u = next_unit(jitter_state);  // [0,1)
+    ms *= 1.0 - jitter + 2.0 * jitter * u;
   }
-  if (policy_.honor_retry_after && hint_ms > 0) {
+  if (honor_retry_after && hint_ms > 0) {
     // The server told us when the backlog should have drained; retrying
     // earlier than that just gets refused again.
     ms = std::max(ms, static_cast<double>(hint_ms));
@@ -194,7 +179,7 @@ WireResult AdrClient::submit_locked(const Query& query,
     if (attempt >= max_attempts) break;
     if (sent && !is_retryable(last.status.code, policy_.idempotent)) return last;
     if (!sent && !is_retryable(last.status.code, /*idempotent=*/true)) return last;
-    const auto delay = backoff_delay(attempt, last.retry_after_ms);
+    const auto delay = policy_.backoff(attempt, last.retry_after_ms, jitter_state_);
     // Deadline cap: a retry that cannot start (let alone finish) before
     // the query's Qos deadline would only burn a server slot to learn
     // kDeadlineExceeded — stop here and return the last real failure.

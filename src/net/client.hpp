@@ -65,6 +65,12 @@ struct RetryPolicy {
   /// submissions beyond it block (or fail, for try_submit_async) until
   /// the sender drains.
   std::size_t max_pending = 32;
+
+  /// Sleep before retry number `retry` (1-based): exponential, capped,
+  /// jittered from `jitter_state`, and at least `hint_ms` when
+  /// honor_retry_after.  AdrClient and the router's failover share it.
+  std::chrono::milliseconds backoff(int retry, std::uint32_t hint_ms,
+                                    std::uint64_t& jitter_state) const;
 };
 
 class AdrClient {
@@ -172,7 +178,6 @@ class AdrClient {
                                            bool& sent);
   /// Backoff for retry number `retry` (1-based), stretched to the
   /// server's hint when one was given.
-  std::chrono::milliseconds backoff_delay(int retry, std::uint32_t hint_ms);
   void sender_loop();
   void start_sender_locked();
 

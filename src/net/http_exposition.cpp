@@ -1,9 +1,5 @@
 #include "net/http_exposition.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -11,8 +7,9 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
-#include <stdexcept>
+#include <iterator>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/exposition.hpp"
@@ -43,11 +40,6 @@ HttpMetrics& http_metrics() {
   static HttpMetrics m{obs::metrics().counter("server.http_requests"),
                        obs::metrics().counter("server.http_errors")};
   return m;
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
 struct HttpConn {
@@ -120,178 +112,127 @@ std::string respond(const std::string& method, const std::string& target) {
                        "serves /metrics, /history and /healthz\n");
 }
 
+/// Advances one exchange on a ready connection: reads the request head,
+/// renders the response, writes it.  Returns false when the connection
+/// is done (answered, refused, or the peer vanished).
+bool serve(HttpConn& c, std::atomic<std::uint64_t>& served) {
+  if (!c.responding) {
+    char buf[1024];
+    for (;;) {
+      const ssize_t r = ::read(c.fd, buf, sizeof(buf));
+      if (r == 0) return false;  // EOF before a full head
+      if (r < 0) {
+        if (errno == EINTR) continue;
+        if (errno != EAGAIN && errno != EWOULDBLOCK) return false;
+        break;
+      }
+      c.in.append(buf, static_cast<std::size_t>(r));
+      if (c.in.size() > kMaxRequestBytes) {
+        http_metrics().errors.add();
+        return false;
+      }
+    }
+    if (c.in.find("\r\n\r\n") == std::string::npos) return true;  // head incomplete
+    std::string method;
+    std::string target;
+    if (parse_request_line(c.in, method, target)) {
+      c.out = respond(method, target);
+    } else {
+      http_metrics().errors.add();
+      c.out = http_response(400, "Bad Request", "text/plain", "bad request\n");
+    }
+    http_metrics().requests.add();
+    served.fetch_add(1);
+    c.responding = true;
+  }
+  while (c.out_pos < c.out.size()) {
+    const ssize_t w = ::send(c.fd, c.out.data() + c.out_pos, c.out.size() - c.out_pos,
+                             MSG_NOSIGNAL);
+    if (w > 0) {
+      c.out_pos += static_cast<std::size_t>(w);
+      continue;
+    }
+    if (w < 0 && errno == EINTR) continue;
+    return w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);  // else peer vanished
+  }
+  return false;  // exchange complete
+}
+
 }  // namespace
 
-HttpExpositionServer::HttpExpositionServer(std::uint16_t port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error("HttpExpositionServer: socket() failed");
-  }
-  const int reuse = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &reuse, sizeof(reuse));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("HttpExpositionServer: bind() failed");
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("HttpExpositionServer: getsockname() failed");
-  }
-  port_ = ntohs(addr.sin_port);
-  if (::listen(listen_fd_, 64) != 0) {
-    ::close(listen_fd_);
-    throw std::runtime_error("HttpExpositionServer: listen() failed");
-  }
-  set_nonblocking(listen_fd_);
-}
+HttpExpositionServer::HttpExpositionServer(std::uint16_t port)
+    : listener_(port, 64, "HttpExpositionServer") {}
 
-HttpExpositionServer::~HttpExpositionServer() {
-  stop();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-}
+HttpExpositionServer::~HttpExpositionServer() { stop(); }
 
 void HttpExpositionServer::start() {
   if (running_.exchange(true)) return;
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    running_.store(false);
-    throw std::runtime_error("HttpExpositionServer: pipe() failed");
-  }
-  wake_rd_ = fds[0];
-  wake_wr_ = fds[1];
-  set_nonblocking(wake_rd_);
-  set_nonblocking(wake_wr_);
   thread_ = std::thread([this]() { loop(); });
 }
 
 void HttpExpositionServer::stop() {
   if (!running_.exchange(false)) return;
-  wake();
+  wakeup_.notify();
   if (thread_.joinable()) thread_.join();
-  if (wake_rd_ >= 0) ::close(wake_rd_);
-  if (wake_wr_ >= 0) ::close(wake_wr_);
-  wake_rd_ = wake_wr_ = -1;
-}
-
-void HttpExpositionServer::wake() {
-  if (wake_wr_ < 0) return;
-  const char one = 1;
-  [[maybe_unused]] const ssize_t r = ::write(wake_wr_, &one, 1);
 }
 
 void HttpExpositionServer::loop() {
-  std::vector<HttpConn> conns;
-  std::vector<pollfd> pfds;
-  while (running_.load()) {
-    pfds.clear();
-    pfds.push_back({listen_fd_, POLLIN, 0});
-    pfds.push_back({wake_rd_, POLLIN, 0});
-    for (const HttpConn& c : conns) {
-      pfds.push_back({c.fd, static_cast<short>(c.responding ? POLLOUT : POLLIN), 0});
-    }
-    // Wake by the earliest connection deadline (1s floor keeps the idle
-    // loop cheap; deadlines are seconds-scale).
-    int timeout_ms = -1;
-    if (!conns.empty()) {
-      auto first = conns.front().deadline;
-      for (const HttpConn& c : conns) first = std::min(first, c.deadline);
-      const auto dt =
-          std::chrono::duration_cast<std::chrono::milliseconds>(first - Clock::now());
-      timeout_ms = static_cast<int>(std::max<long long>(dt.count(), 0));
-    }
-    const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
-    if (!running_.load()) break;
-    if (n < 0 && errno != EINTR) break;
+  Poller poller;
+  std::unordered_map<std::uint64_t, HttpConn> conns;
+  std::uint64_t next_tag = kFirstConnTag;
+  listener_.watch(poller, kListenTag);
+  // Without the wakeup registered, waits are bounded so stop() is seen.
+  const bool wake_registered = poller.add(wakeup_.fd(), kWakeTag, /*rd=*/true, /*wr=*/false);
 
-    if (pfds[1].revents & POLLIN) {
-      char buf[64];
-      while (::read(wake_rd_, buf, sizeof(buf)) > 0) {
-      }
-    }
-    if (pfds[0].revents & POLLIN) {
-      for (;;) {
-        const int fd = ::accept(listen_fd_, nullptr, nullptr);
-        if (fd < 0) break;
-        if (conns.size() >= kMaxConns) {
-          http_metrics().errors.add();
-          ::close(fd);
-          continue;
+  const auto drop = [&](std::unordered_map<std::uint64_t, HttpConn>::iterator it) {
+    poller.del(it->second.fd);
+    ::close(it->second.fd);
+    return conns.erase(it);
+  };
+
+  std::vector<Poller::Ready> events;
+  while (running_.load()) {
+    listener_.resume(poller);
+    // Connection deadlines are seconds-scale and accept backoffs at most
+    // 200 ms, so a 100 ms bound on the wait catches both.
+    const bool idle = conns.empty() && listener_.resume_at() == Clock::time_point{};
+    poller.wait(events, idle && wake_registered ? -1 : 100);
+
+    for (const Poller::Ready& ev : events) {
+      if (ev.tag == kWakeTag) {
+        wakeup_.drain();
+      } else if (ev.tag == kListenTag) {
+        listener_.accept_all(poller, http_metrics().errors, [&](int fd) {
+          // Beyond the cap, refuse by immediate close (scrapers retry on
+          // their next interval).
+          if (conns.size() >= kMaxConns || !poller.add(fd, next_tag, true, false)) {
+            http_metrics().errors.add();
+            ::close(fd);
+            return;
+          }
+          HttpConn c;
+          c.fd = fd;
+          c.deadline = Clock::now() + kConnDeadline;
+          conns.emplace(next_tag++, std::move(c));
+        });
+      } else if (auto it = conns.find(ev.tag); it != conns.end()) {
+        HttpConn& c = it->second;
+        const bool was_responding = c.responding;
+        if (!serve(c, served_)) {
+          drop(it);
+        } else if (c.responding != was_responding) {
+          poller.mod(c.fd, ev.tag, /*rd=*/false, /*wr=*/true);
         }
-        set_nonblocking(fd);
-        HttpConn c;
-        c.fd = fd;
-        c.deadline = Clock::now() + kConnDeadline;
-        conns.push_back(std::move(c));
       }
     }
 
     const auto now = Clock::now();
-    for (std::size_t i = 0; i < conns.size();) {
-      HttpConn& c = conns[i];
-      const short revents = i + 2 < pfds.size() ? pfds[i + 2].revents : 0;
-      bool close_conn = now >= c.deadline || (revents & (POLLERR | POLLHUP | POLLNVAL));
-      if (!close_conn && !c.responding && (revents & POLLIN)) {
-        char buf[1024];
-        for (;;) {
-          const ssize_t r = ::read(c.fd, buf, sizeof(buf));
-          if (r > 0) {
-            c.in.append(buf, static_cast<std::size_t>(r));
-            if (c.in.size() > kMaxRequestBytes) {
-              http_metrics().errors.add();
-              close_conn = true;
-              break;
-            }
-            continue;
-          }
-          if (r == 0) close_conn = true;  // EOF before a full head
-          break;                          // EAGAIN or EOF
-        }
-        if (!close_conn && c.in.find("\r\n\r\n") != std::string::npos) {
-          std::string method;
-          std::string target;
-          if (parse_request_line(c.in, method, target)) {
-            c.out = respond(method, target);
-          } else {
-            http_metrics().errors.add();
-            c.out = http_response(400, "Bad Request", "text/plain", "bad request\n");
-          }
-          http_metrics().requests.add();
-          served_.fetch_add(1);
-          c.responding = true;
-        }
-      }
-      if (!close_conn && c.responding) {
-        while (c.out_pos < c.out.size()) {
-          const ssize_t w =
-              ::write(c.fd, c.out.data() + c.out_pos, c.out.size() - c.out_pos);
-          if (w > 0) {
-            c.out_pos += static_cast<std::size_t>(w);
-            continue;
-          }
-          if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          close_conn = true;  // peer vanished mid-response
-          break;
-        }
-        if (c.out_pos >= c.out.size()) close_conn = true;  // exchange complete
-      }
-      if (close_conn) {
-        ::close(c.fd);
-        conns[i] = std::move(conns.back());
-        conns.pop_back();
-        // The pollfd snapshot no longer lines up with conns past i;
-        // the swapped-in entry just waits for the next poll round.
-        if (i + 2 < pfds.size()) pfds[i + 2].revents = 0;
-      } else {
-        ++i;
-      }
+    for (auto it = conns.begin(); it != conns.end();) {
+      it = now >= it->second.deadline ? drop(it) : std::next(it);
     }
   }
-  for (HttpConn& c : conns) ::close(c.fd);
+  for (auto it = conns.begin(); it != conns.end();) it = drop(it);
+  listener_.close(poller);
 }
 
 }  // namespace adr::net

@@ -11,11 +11,12 @@
 //                 ?n=<k> caps the reply to the k most recent samples
 //   /healthz      liveness probe ("ok")
 //
-// Like the query-serving loop (net/server.hpp) it never blocks on a
-// peer: one background thread owns every fd, sockets are non-blocking
-// under poll(2), request heads are capped at a few KiB and each
-// connection carries a hard deadline, so a scraper that stalls
-// mid-request is cut off instead of wedging the listener.  Responses
+// It runs on the same pieces as the frame-serving loop
+// (net/frame_loop.hpp): a Listener with accept backoff, a Wakeup and
+// the Poller.  It never blocks on a peer: one background thread owns
+// every fd, sockets are non-blocking, request heads are capped at a few
+// KiB and each connection carries a hard deadline, so a scraper that
+// stalls mid-request is cut off instead of wedging the listener.  Responses
 // declare Content-Length and the connection closes after each exchange
 // (HTTP/1.0 semantics) — no keep-alive state to manage.
 //
@@ -27,6 +28,8 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
+
+#include "net/frame_loop.hpp"
 
 namespace adr::net {
 
@@ -46,23 +49,20 @@ class HttpExpositionServer {
   void stop();
 
   /// The bound port (valid after construction).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
   /// Requests answered (any status) since construction.
   std::uint64_t requests_served() const { return served_.load(); }
 
  private:
   void loop();
-  void wake();
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  /// Self-pipe wakeup: stop() writes a byte to interrupt poll().
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
-  std::thread thread_;
+  Listener listener_;
+  /// stop() pokes the loop out of its wait.
+  Wakeup wakeup_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> served_{0};
+  std::thread thread_;
 };
 
 }  // namespace adr::net

@@ -1,7 +1,7 @@
 // adr_router: the sharded serving tier's front end.
 //
-// One router process owns the client connections (the PR 6 epoll loop,
-// via the shared Poller) and routes each query by *dataset signature* —
+// One router process owns the client connections (a net::FrameLoop,
+// the same loop AdrServer runs on) and routes each query by *dataset signature* —
 // consistent hashing over a ring of N independent AdrServer backends —
 // so a dataset's queries keep landing on the same backend and its
 // chunk/marginal caches stay hot.  This is the paper's
@@ -13,7 +13,8 @@
 // Data path: the loop reads client frames incrementally
 // (FrameReader), answers stats requests in-loop with the router's own
 // metrics snapshot, and hands query frames — as raw bytes, never
-// re-encoded — to a small pool of forwarder threads.  A forwarder
+// re-encoded, one per connection at a time so replies keep request
+// order — to a small pool of forwarder threads.  A forwarder
 // decodes only enough to compute the signature, resolves the ordered
 // backend candidates from the ring (the first `replication` are the
 // replica set, rotated per query so a hot dataset fans out), and
@@ -38,12 +39,14 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/hash_ring.hpp"
 #include "net/client.hpp"
+#include "net/frame_loop.hpp"
 
 namespace adr::net {
 
@@ -154,9 +157,10 @@ struct RouterConfig {
   std::chrono::milliseconds backend_recv_timeout{30'000};
 };
 
-/// The router front end.  start() binds 127.0.0.1:`port` (0 =
-/// ephemeral; port() reports the bound one), runs the event loop, the
-/// forwarder pool and the prober; stop() drains and joins.
+/// The router front end.  The constructor binds 127.0.0.1:`port` (0 =
+/// ephemeral; port() reports the bound one); start() runs the event
+/// loop, the forwarder pool and the prober; stop() drains the loop
+/// (cut at 1 s) and joins.
 class AdrRouter {
  public:
   explicit AdrRouter(RouterConfig config, std::uint16_t port = 0);
@@ -168,7 +172,14 @@ class AdrRouter {
   void start();
   void stop();
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return loop_.port(); }
+
+  /// Client connections being served (lock-free).
+  std::size_t active_connections() const { return loop_.active_connections(); }
+
+  /// Client connections refused at max_connections (each got a busy
+  /// frame).
+  std::uint64_t connections_refused() const { return loop_.connections_refused(); }
 
   /// Health snapshot of one backend (kDown for unknown ports).
   BackendHealth::State backend_state(std::uint16_t backend_port) const;
@@ -178,8 +189,6 @@ class AdrRouter {
   std::vector<std::uint16_t> candidates_for(std::uint64_t signature) const;
 
  private:
-  struct Conn;
-  struct LoopState;
   struct Backend;
 
   /// One query frame in flight between the loop and a forwarder.
@@ -188,23 +197,10 @@ class AdrRouter {
     std::vector<std::byte> frame;  // raw query frame from the client
   };
 
-  /// A finished job travelling back to the loop.
-  struct Completion {
-    std::uint64_t conn_id = 0;
-    std::vector<std::byte> frame;  // raw result frame for the client
-  };
-
-  void event_loop();
-  void loop_accept(LoopState& ls);
-  void loop_register(LoopState& ls, int fd);
-  void loop_refuse(LoopState& ls, int fd);
-  void loop_readable(LoopState& ls, Conn& conn);
-  void loop_dispatch(LoopState& ls, Conn& conn);
-  void loop_flush(LoopState& ls, Conn& conn);
-  void loop_close(LoopState& ls, Conn& conn);
-  void loop_drain_completions(LoopState& ls);
-  void update_interest(LoopState& ls, Conn& conn);
-  void wake();
+  /// FrameLoop handler (loop thread): answers stats requests in-loop
+  /// and queues query frames for the forwarders.
+  std::optional<FrameLoop::Reply> handle_frame(std::uint64_t conn,
+                                               std::vector<std::byte> frame);
 
   void forwarder_loop(int index);
   /// Cached blocking connections one forwarder keeps, one per backend.
@@ -234,27 +230,21 @@ class AdrRouter {
   /// minimizes remap across restarts, not within one process).
   std::vector<std::unique_ptr<Backend>> backends_;
 
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
+  /// Client connections; forwarders post backend replies to it.
+  FrameLoop loop_;
 
   std::atomic<bool> running_{false};
-  std::thread loop_thread_;
-  std::vector<std::thread> forwarders_;
-  std::thread prober_;
 
   /// Loop -> forwarders.
   std::mutex job_mutex_;
   std::condition_variable job_cv_;
   std::deque<Job> jobs_;
 
-  /// Forwarders -> loop.
-  std::mutex completion_mutex_;
-  std::deque<Completion> completions_;
-
   /// Per-query rotation over the replica set (hot-dataset fan-out).
   std::atomic<std::uint64_t> rotation_{0};
+
+  std::vector<std::thread> forwarders_;
+  std::thread prober_;
 };
 
 /// Signature a query is routed by: a mix of every dataset id it

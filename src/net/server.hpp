@@ -4,86 +4,57 @@
 // queries to the back-end... The socket interface is used for sequential
 // clients." (paper sections 1-2)
 //
-// AdrServer listens on a TCP port (loopback by default) and serves every
-// accepted client from ONE event-loop thread: all sockets are
-// non-blocking and owned by an epoll (poll on non-Linux) readiness loop,
-// a per-connection FrameReader reassembles length-prefixed query frames
-// from whatever bytes arrive, and each complete frame is handed to the
-// server's QuerySubmissionService worker pool (the paper's query
-// submission service) — so server-side execution concurrency is bounded
-// by scheduler slots and serving concurrency is no longer bounded by a
-// thread per connection.  When a query finishes, the scheduler's
-// completion hook wakes the loop through an eventfd (pipe fallback) and
-// the loop — never a worker thread — serializes the result frame into
-// the connection's FrameWriter and flushes it as the socket accepts.
-// docs/serving.md walks through the architecture, back-pressure path and
-// fd life cycle.
+// AdrServer listens on a loopback TCP port and serves every client from
+// one net::FrameLoop thread (net/frame_loop.hpp).  Each complete query
+// frame goes to the server's QuerySubmissionService worker pool (the
+// paper's query submission service), so execution concurrency is bounded
+// by scheduler slots, not by a thread per connection.  A worker that
+// finishes a query encodes the result frame and posts it back to the
+// loop, which alone writes sockets.  docs/serving.md walks through the
+// loop, back-pressure and fd life cycle.
 //
 // Back-pressure is protocol-level: past `max_connections`, or when the
 // scheduler's pending queue is full, the server replies with a
-// WireResult{kBusy, "server busy"} frame — carrying a retry-after hint
-// derived from the live queue-depth gauge and measured submit latency —
-// and then closes, so clients can distinguish refusal from crash and
-// know when retrying is worth it.  All refusal I/O is non-blocking and
-// deadline-bounded: a refused peer that never reads can never stall the
-// loop, stop(), or active_connections().
+// WireResult{kBusy, "server busy"} frame carrying a retry-after hint
+// (live queue depth times measured submit latency), then closes.
 //
-// Observability: every connection and query updates the process-wide
-// obs::metrics() registry (server.* series; catalog in
-// docs/observability.md), and a stats-request frame (wire protocol v3)
-// on any connection answers with the registry snapshot as JSON plus,
-// optionally, the query-lifecycle trace — see AdrClient::stats() and
-// the adr_stats CLI tool.
-//
-// fd ownership: every client fd is created, registered, and closed by
-// the event-loop thread only.  stop() signals the loop (running_ +
-// wakeup), and the loop finishes in-flight queries, flushes their
-// result frames under a bounded drain deadline, closes everything and
-// exits; stop() then joins it and drains the scheduler.
+// Observability: server.* series in obs::metrics() (catalog in
+// docs/observability.md); a stats-request frame on any connection
+// answers with the registry snapshot as JSON plus, optionally, the
+// query-lifecycle trace and the sampler history (AdrClient::stats(),
+// adr_stats).
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <thread>
+#include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "core/frontend.hpp"
 #include "core/planner/cost_model.hpp"
+#include "net/frame_loop.hpp"
 
 namespace adr::net {
 
 struct WireResult;
 class HttpExpositionServer;
 
-/// Continuous-telemetry knobs (now adr::TelemetryOptions, defined in
-/// core/runtime_config.hpp so RuntimeConfig can carry it; this alias
-/// keeps the historical adr::net name compiling).
-using TelemetryOptions = adr::TelemetryOptions;
-
 class AdrServer {
  public:
   /// Binds to 127.0.0.1:`port` (0 = pick an ephemeral port).  `costs`
   /// are the compute charges applied to every submitted query.
-  /// `max_connections` bounds concurrently served clients;
-  /// `scheduler_workers` bounds concurrently *executing* queries and
-  /// `max_pending` bounds accepted-but-unfinished queries (beyond it,
-  /// submits are refused with a "server busy" frame).
-  AdrServer(Repository& repository, std::uint16_t port,
-            const ComputeCosts& costs = {}, int max_connections = 64,
-            int scheduler_workers = 4, std::size_t max_pending = 256,
-            const TelemetryOptions& telemetry = {});
-
-  /// RuntimeConfig overload: one validated struct carries the
-  /// connection cap, scheduler shape, gang policy, telemetry knobs and
-  /// the adaptive controller's band (core/runtime_config.hpp).  With
-  /// runtime.adaptive.enabled the server owns an AdaptiveController
-  /// that moves the repository's executor-pool cap and the scheduler's
-  /// gang window from live sampler signals for the server's lifetime.
-  AdrServer(Repository& repository, std::uint16_t port, const ComputeCosts& costs,
-            const RuntimeConfig& runtime);
+  /// `runtime` is validated here (throws StatusError{kInvalidArgument})
+  /// and carries the connection cap, scheduler shape, gang policy,
+  /// telemetry knobs and the adaptive controller's band
+  /// (core/runtime_config.hpp).  With runtime.adaptive.enabled the
+  /// server owns an AdaptiveController that moves the repository's
+  /// executor-pool cap and the scheduler's gang window from live sampler
+  /// signals for the server's lifetime.
+  AdrServer(Repository& repository, std::uint16_t port, const ComputeCosts& costs = {},
+            const RuntimeConfig& runtime = {});
   ~AdrServer();
 
   AdrServer(const AdrServer&) = delete;
@@ -99,7 +70,7 @@ class AdrServer {
   void stop();
 
   /// The bound port (valid after construction).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return loop_.port(); }
 
   /// The HTTP exposition port, or 0 when TelemetryOptions::http_port
   /// disabled it (valid after construction).
@@ -107,16 +78,13 @@ class AdrServer {
 
   std::uint64_t queries_served() const { return served_.load(); }
 
-  /// Connections currently being served.  Lock-free: the loop maintains
-  /// an atomic count, so this never waits on connection I/O.
-  std::size_t active_connections() const {
-    const std::int64_t n = active_conns_.load();
-    return n > 0 ? static_cast<std::size_t>(n) : 0;
-  }
+  /// Connections currently being served.  Lock-free: never waits on
+  /// connection I/O.
+  std::size_t active_connections() const { return loop_.active_connections(); }
 
   /// Connections refused because max_connections was reached (each got a
   /// "server busy" frame before the close).
-  std::uint64_t connections_refused() const { return refused_.load(); }
+  std::uint64_t connections_refused() const { return loop_.connections_refused(); }
 
   /// Queries refused because the scheduler's pending queue was full.
   std::uint64_t queries_refused() const { return queries_refused_.load(); }
@@ -126,49 +94,32 @@ class AdrServer {
   /// typed kDeadlineExceeded frame).
   std::uint64_t deadline_refusals() const { return deadline_refusals_.load(); }
 
-  /// The adaptive controller, or nullptr when the server was built
-  /// without one (legacy constructors / runtime.adaptive.enabled off).
+  /// The adaptive controller, or nullptr when runtime.adaptive.enabled
+  /// was off.
   const AdaptiveController* adaptive() const { return adaptive_.get(); }
 
  private:
-  struct LoopState;  // event-loop-owned state; lives on the loop's stack
-  struct Conn;       // per-connection state (see server.cpp)
-
-  void event_loop();
-  /// Signals the loop thread (safe from any thread).
-  void wake();
-  /// Scheduler completion hook: runs on a worker thread, records the
-  /// ticket and wakes the loop — result frames are written only by the
-  /// loop.
+  /// FrameLoop handler (loop thread): answers stats requests and
+  /// refusals at once; admitted queries answer later from
+  /// on_ticket_done().
+  std::optional<FrameLoop::Reply> handle_frame(std::uint64_t conn,
+                                               std::vector<std::byte> payload);
+  /// Scheduler completion hook (worker thread): takes the outcome,
+  /// encodes the result frame and posts it to the loop.
   void on_ticket_done(std::uint64_t ticket);
-
-  // Loop internals (loop thread only; see server.cpp).
-  void loop_accept(LoopState& ls);
-  void loop_accept_error(LoopState& ls);
-  void loop_register(LoopState& ls, int fd);
-  void loop_refuse(LoopState& ls, int fd);
-  void loop_readable(LoopState& ls, Conn& conn);
-  void loop_process_frames(LoopState& ls, Conn& conn);
-  void loop_handle_frame(LoopState& ls, Conn& conn, std::vector<std::byte> payload);
-  void loop_reply(LoopState& ls, Conn& conn, const WireResult& result,
-                  std::uint64_t ticket, bool close_after);
-  void loop_flush(LoopState& ls, Conn& conn);
-  void loop_drain_completions(LoopState& ls);
-  void loop_update_interest(LoopState& ls, Conn& conn);
-  void loop_maybe_finish_close(LoopState& ls, Conn& conn);
-  void loop_close(LoopState& ls, Conn& conn);
-  void loop_begin_stop_drain(LoopState& ls);
-  void loop_expire_deadlines(LoopState& ls);
-  int loop_timeout_ms(LoopState& ls) const;
+  /// A result reply, passed through the `net.reply_drop` fault point.
+  FrameLoop::Reply reply(const WireResult& result, bool close_after = false);
 
   /// Retry-after estimate for busy refusals: the queue the caller would
   /// sit behind (live scheduler depth gauges) times the measured mean
   /// submit latency, per worker.
   std::uint32_t retry_after_hint_ms() const;
+  std::vector<std::byte> busy_frame() const;
 
   Repository* repository_;
   ComputeCosts costs_;
   TelemetryOptions telemetry_;
+  const int scheduler_workers_;
   /// Constructed eagerly (the bind can throw; callers learn at
   /// construction, not at start()); serving begins in start().
   std::unique_ptr<HttpExpositionServer> http_;
@@ -176,28 +127,19 @@ class AdrServer {
   /// connections.
   QuerySubmissionService scheduler_;
   /// Feedback controller over the executor pool + gang window; non-null
-  /// only for the RuntimeConfig constructor with adaptive.enabled.
+  /// only with runtime.adaptive.enabled.
   std::unique_ptr<AdaptiveController> adaptive_;
-  const int scheduler_workers_;
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
-  const int max_connections_;
-  std::thread loop_thread_;
+  FrameLoop loop_;
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> served_{0};
-  std::atomic<std::uint64_t> refused_{0};
   std::atomic<std::uint64_t> queries_refused_{0};
   std::atomic<std::uint64_t> deadline_refusals_{0};
-  std::atomic<std::uint64_t> next_client_id_{1};
-  std::atomic<std::int64_t> active_conns_{0};
 
-  /// Wakeup channel: eventfd on Linux (rd == wr), self-pipe elsewhere.
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
-
-  /// Tickets finished by scheduler workers, awaiting pickup by the loop.
-  std::mutex completion_mutex_;
-  std::vector<std::uint64_t> completed_tickets_;
+  /// In-flight ticket -> loop connection id.  Filled on the loop thread
+  /// in the same critical section as try_enqueue, so a worker that
+  /// finishes the ticket first still finds it.
+  std::mutex tickets_mutex_;
+  std::unordered_map<std::uint64_t, std::uint64_t> ticket_conn_;
 };
 
 }  // namespace adr::net

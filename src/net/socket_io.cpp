@@ -1,5 +1,6 @@
 #include "net/socket_io.hpp"
 
+#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -15,6 +16,27 @@ namespace adr::net {
 void set_tcp_nodelay(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+int connect_loopback(std::uint16_t port, std::chrono::milliseconds recv_timeout) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  if (recv_timeout.count() > 0) {
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(recv_timeout.count() / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((recv_timeout.count() % 1000) * 1000);
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  set_tcp_nodelay(fd);
+  return fd;
 }
 
 namespace {

@@ -23,6 +23,7 @@
 // a completed frame is lifted off a connection — see server.cpp).
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -40,6 +41,12 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 30;
 /// peer's delayed ACK for ~40ms.  Every serving-path socket (client,
 /// server accept, router relay) sets it.
 void set_tcp_nodelay(int fd);
+
+/// Blocking connect to 127.0.0.1:`port` (close-on-exec, TCP_NODELAY,
+/// and SO_RCVTIMEO when `recv_timeout` is positive).  Returns the fd,
+/// or -1 on failure.
+int connect_loopback(std::uint16_t port,
+                     std::chrono::milliseconds recv_timeout = std::chrono::milliseconds(0));
 
 /// Reads one frame; returns false on orderly close or error.
 bool read_frame(int fd, std::vector<std::byte>& payload);

@@ -341,7 +341,11 @@ struct ServerFixture {
   net::AdrServer server;
 
   explicit ServerFixture(int max_connections = 64)
-      : repo(thread_config(2)), server(repo, /*port=*/0, {}, max_connections) {
+      : repo(thread_config(2)), server(repo, /*port=*/0, {}, [max_connections] {
+          RuntimeConfig runtime;
+          runtime.max_connections = static_cast<std::size_t>(max_connections);
+          return runtime;
+        }()) {
     in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(8, 3));
     out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
     server.start();
@@ -427,8 +431,11 @@ TEST(ConcurrentServer, SchedulerQueueFullRefusesQueryWithBusyFrame) {
   const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
   auto gate = std::make_shared<Gate>();
   repo.aggregations().register_op(std::make_shared<GatedCountOp>(gate));
-  net::AdrServer server(repo, /*port=*/0, {}, /*max_connections=*/8,
-                        /*scheduler_workers=*/1, /*max_pending=*/1);
+  RuntimeConfig runtime;
+  runtime.max_connections = 8;
+  runtime.scheduler_workers = 1;
+  runtime.max_pending = 1;
+  net::AdrServer server(repo, /*port=*/0, {}, runtime);
   server.start();
 
   // The holder retries: a probe racing ahead of it can briefly own the
@@ -467,7 +474,7 @@ TEST(ConcurrentServer, SchedulerQueueFullRefusesQueryWithBusyFrame) {
   EXPECT_GE(server.queries_served(), 1u);
 
   // After the slot frees, new clients are served normally again.
-  net::AdrServer server2(repo, /*port=*/0, {}, 8, 1, 1);
+  net::AdrServer server2(repo, /*port=*/0, {}, runtime);
   server2.start();
   net::AdrClient ok_client(server2.port());
   EXPECT_TRUE(ok_client.submit(variant_query(in, out, 0)).ok());

@@ -305,36 +305,6 @@ TEST(QuerySubmissionService, TicketsAndFifoProcessing) {
   EXPECT_EQ(service.take(t1).status.code, StatusCode::kNotFound);
 }
 
-// The pre-batching accessors are deprecated but must keep working for
-// one release cycle; suppress the deprecation warning locally (CI builds
-// with -Werror).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(QuerySubmissionService, DeprecatedAccessorsStillWork) {
-  Repository repo(thread_config(2));
-  const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(4, 2));
-  const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
-  QuerySubmissionService service(repo);
-
-  Query q;
-  q.input_dataset = in;
-  q.output_dataset = out;
-  q.range = Rect::cube(2, 0.0, 1.0);
-  q.aggregation = "sum-count-max";
-  q.delivery = OutputDelivery::kReturnToClient;
-
-  const auto t = service.enqueue(q);
-  EXPECT_EQ(service.result(t), nullptr);  // not processed yet
-  EXPECT_EQ(service.process_all(), 1u);
-  ASSERT_NE(service.result(t), nullptr);
-  EXPECT_EQ(service.result(t)->outputs.size(), 4u);
-  EXPECT_EQ(service.error(t), nullptr);
-  const QueryResult* r = service.wait(t);
-  ASSERT_NE(r, nullptr);
-  EXPECT_EQ(r->outputs.size(), 4u);
-}
-#pragma GCC diagnostic pop
-
 TEST(Repository, GridIndexBackendWorks) {
   RepositoryConfig cfg = thread_config(2);
   cfg.index = "grid";

@@ -10,12 +10,14 @@
 #include <cstring>
 #include <future>
 #include <map>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/fault.hpp"
 #include "json_check.hpp"
 #include "net/client.hpp"
+#include "net/router.hpp"
 #include "net/server.hpp"
 #include "net/socket_io.hpp"
 #include "net/wire.hpp"
@@ -76,7 +78,7 @@ TEST(Wire, QueryRoundTrip) {
   q.write_output = true;
   q.seed = 12345;
 
-  const Query back = decode_query(encode_query(q));
+  const Query back = decode_query_frame(encode_query(q)).query;
   EXPECT_EQ(back.input_dataset, 3u);
   EXPECT_EQ(back.extra_input_datasets, (std::vector<std::uint32_t>{7, 9}));
   EXPECT_EQ(back.output_dataset, 4u);
@@ -267,7 +269,7 @@ TEST(Wire, StatsFramesRoundTrip) {
 
 TEST(Wire, StatsFrameRejectedByOtherDecoders) {
   const auto frame = encode_stats_request({});
-  EXPECT_THROW(decode_query(frame), WireError);
+  EXPECT_THROW(decode_query_frame(frame), WireError);
   EXPECT_THROW(decode_result(frame), WireError);
   Query q;
   q.range = Rect::cube(2, 0.0, 1.0);
@@ -279,10 +281,16 @@ TEST(Wire, QueryFrameRejectedAsResult) {
   q.range = Rect::cube(2, 0.0, 1.0);
   EXPECT_THROW(decode_result(encode_query(q)), WireError);
   WireResult result;
-  EXPECT_THROW(decode_query(encode_result(result)), WireError);
+  EXPECT_THROW(decode_query_frame(encode_result(result)), WireError);
 }
 
 // ----------------------------------------------------- client/server
+
+RuntimeConfig with_max_connections(std::size_t n) {
+  RuntimeConfig runtime;
+  runtime.max_connections = n;
+  return runtime;
+}
 
 struct ServerFixture {
   Repository repo;
@@ -447,7 +455,7 @@ TEST(ClientServer, StatsIncludesTraceWhenEnabled) {
 
 TEST(ClientServer, BusyRefusalCarriesRetryAfterHint) {
   ServerFixture fx;
-  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, /*max_connections=*/1);
+  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, with_max_connections(1));
   tight.start();
 
   AdrClient first(tight.port());
@@ -543,7 +551,7 @@ TEST(FaultServing, NonIdempotentPolicyDoesNotRetryTransportLoss) {
 
 TEST(FaultServing, BusyRefusalIsRetriedAfterServerHint) {
   ServerFixture fx;
-  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, /*max_connections=*/1);
+  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, with_max_connections(1));
   tight.start();
 
   AdrClient holder(tight.port());
@@ -739,7 +747,7 @@ TEST(EventLoopServing, ManyIdleConnectionsDoNotStarveServing) {
   // keeps querying: the loop's readiness model means idle sockets cost
   // nothing, where thread-per-connection burned a stack each.
   ServerFixture fx;
-  AdrServer big(fx.repo, /*port=*/0, ComputeCosts{}, /*max_connections=*/512);
+  AdrServer big(fx.repo, /*port=*/0, ComputeCosts{}, with_max_connections(512));
   big.start();
 
   std::vector<int> idle;
@@ -770,73 +778,124 @@ TEST(EventLoopServing, ManyIdleConnectionsDoNotStarveServing) {
   big.stop();
 }
 
-TEST(EventLoopServing, MidFrameClientCloseReleasesTheConnection) {
-  ServerFixture fx;
-  const int fd = raw_connect(fx.server.port());
+// ----------------------------------- connection lifecycle, per front end
+//
+// AdrServer and AdrRouter serve clients from the same net::FrameLoop;
+// each lifecycle case below runs against both.  The router fronts the
+// fixture's server as its one backend.
+
+enum class FrontEnd { kServer, kRouter };
+
+void PrintTo(FrontEnd f, std::ostream* os) { *os << (f == FrontEnd::kServer ? "Server" : "Router"); }
+
+/// One front end with connection cap `max_connections`, ready to serve.
+struct FrontEndUnderTest {
+  FrontEnd kind;
+  ServerFixture fx;  // the repository and, for the router, its backend
+  std::unique_ptr<AdrServer> server;
+  std::unique_ptr<AdrRouter> router;
+
+  FrontEndUnderTest(FrontEnd k, std::size_t max_connections) : kind(k) {
+    if (kind == FrontEnd::kServer) {
+      server = std::make_unique<AdrServer>(fx.repo, /*port=*/0, ComputeCosts{},
+                                           with_max_connections(max_connections));
+      server->start();
+    } else {
+      RouterConfig cfg;
+      cfg.backend_ports = {fx.server.port()};
+      cfg.max_connections = static_cast<int>(max_connections);
+      // No prober: its backend connects would draw on armed net.accept
+      // faults meant for the router's own listener.
+      cfg.probe_interval = std::chrono::milliseconds(0);
+      router = std::make_unique<AdrRouter>(cfg);
+      router->start();
+    }
+  }
+
+  std::uint16_t port() const { return server ? server->port() : router->port(); }
+  std::size_t active_connections() const {
+    return server ? server->active_connections() : router->active_connections();
+  }
+  std::uint64_t connections_refused() const {
+    return server ? server->connections_refused() : router->connections_refused();
+  }
+  /// Queries executed on the serving repository.
+  std::uint64_t queries_served() const {
+    return server ? server->queries_served() : fx.server.queries_served();
+  }
+  void stop() { server ? server->stop() : router->stop(); }
+  std::string metric(const std::string& series) const {
+    return (kind == FrontEnd::kServer ? "server." : "router.") + series;
+  }
+};
+
+class EventLoopServing : public ::testing::TestWithParam<FrontEnd> {};
+
+TEST_P(EventLoopServing, MidFrameClientCloseReleasesTheConnection) {
+  FrontEndUnderTest fe(GetParam(), /*max_connections=*/64);
+  const int fd = raw_connect(fe.port());
   ASSERT_GE(fd, 0);
   // Promise a 64-byte frame, deliver 10, vanish.
   std::vector<std::byte> torn(14);
   torn[0] = std::byte{64};  // little-endian length 64, bytes 1..3 zero
   ASSERT_EQ(::send(fd, torn.data(), torn.size(), 0),
             static_cast<ssize_t>(torn.size()));
-  for (int i = 0; i < 1000 && fx.server.active_connections() < 1; ++i) {
+  for (int i = 0; i < 1000 && fe.active_connections() < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   ::close(fd);
-  for (int i = 0; i < 2000 && fx.server.active_connections() > 0; ++i) {
+  for (int i = 0; i < 2000 && fe.active_connections() > 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(fx.server.active_connections(), 0u);
+  EXPECT_EQ(fe.active_connections(), 0u);
   // The half-frame never became a query, and serving is unharmed.
-  EXPECT_EQ(fx.server.queries_served(), 0u);
-  AdrClient client(fx.server.port());
-  EXPECT_TRUE(client.submit(fx.basic_query()).ok());
+  EXPECT_EQ(fe.queries_served(), 0u);
+  AdrClient client(fe.port());
+  EXPECT_TRUE(client.submit(fe.fx.basic_query()).ok());
 }
 
-TEST(EventLoopServing, StopDuringPartialFrameReturnsPromptly) {
-  ServerFixture fx;
-  const int fd = raw_connect(fx.server.port());
+TEST_P(EventLoopServing, StopDuringPartialFrameReturnsPromptly) {
+  FrontEndUnderTest fe(GetParam(), /*max_connections=*/64);
+  const int fd = raw_connect(fe.port());
   ASSERT_GE(fd, 0);
   std::byte half_header[2] = {std::byte{8}, std::byte{0}};
   ASSERT_EQ(::send(fd, half_header, 2, 0), 2);
-  for (int i = 0; i < 1000 && fx.server.active_connections() < 1; ++i) {
+  for (int i = 0; i < 1000 && fe.active_connections() < 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   // The peer neither completes its frame nor closes: stop() must cut it
   // off at the drain deadline, not wait for it.
   const auto start = std::chrono::steady_clock::now();
-  fx.server.stop();
+  fe.stop();
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::milliseconds(1500));
-  EXPECT_EQ(fx.server.active_connections(), 0u);
+  EXPECT_EQ(fe.active_connections(), 0u);
   ::close(fd);
 }
 
-TEST(EventLoopServing, RefusedPeerNeverReadsDoesNotBlockActiveConnections) {
+TEST_P(EventLoopServing, RefusedPeerNeverReadsDoesNotBlockActiveConnections) {
   // Regression: the refusal path once did a blocking busy-frame write
   // plus an up-to-200ms drain read while holding the connection lock, so
   // one refused peer that never read froze active_connections() (and
   // stop()) for the whole drain.  Refusal I/O is now queued, non-blocking
   // and deadline-bounded, off every lock.
-  ServerFixture fx;
-  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, /*max_connections=*/1);
-  tight.start();
-  AdrClient holder(tight.port());
-  ASSERT_TRUE(holder.submit(fx.basic_query()).ok());  // slot registered
+  FrontEndUnderTest fe(GetParam(), /*max_connections=*/1);
+  AdrClient holder(fe.port());
+  ASSERT_TRUE(holder.submit(fe.fx.basic_query()).ok());  // slot registered
 
-  const int refused = raw_connect(tight.port());
+  const int refused = raw_connect(fe.port());
   ASSERT_GE(refused, 0);
   // Hammer active_connections() through the refusal's whole drain
   // window; every call must return immediately.
   std::chrono::steady_clock::duration worst{};
   for (int i = 0; i < 60; ++i) {
     const auto t0 = std::chrono::steady_clock::now();
-    EXPECT_LE(tight.active_connections(), 1u);
+    EXPECT_LE(fe.active_connections(), 1u);
     worst = std::max(worst, std::chrono::steady_clock::now() - t0);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_LT(worst, std::chrono::milliseconds(100));
-  EXPECT_GE(tight.connections_refused(), 1u);
+  EXPECT_GE(fe.connections_refused(), 1u);
 
   // The busy frame still reached the peer (refusal is an answer, not a
   // slammed door), even though the peer never read during the drain.
@@ -847,18 +906,18 @@ TEST(EventLoopServing, RefusedPeerNeverReadsDoesNotBlockActiveConnections) {
   ::close(refused);
 
   // The holder was never disturbed.
-  EXPECT_TRUE(holder.submit(fx.basic_query()).ok());
-  tight.stop();
+  EXPECT_TRUE(holder.submit(fe.fx.basic_query()).ok());
+  fe.stop();
 }
 
-TEST(EventLoopServing, AcceptErrorsBackOffAndRecover) {
+TEST_P(EventLoopServing, AcceptErrorsBackOffAndRecover) {
   // Regression: persistent accept() failure (the EMFILE storm) used to
   // busy-spin the accept loop at 100% CPU.  With the injected net.accept
   // fault the loop must count the errors, back off, and accept the
   // still-queued connection once the failures stop.
-  ServerFixture fx;
-  const std::uint64_t errors_before =
-      obs::metrics().counter("server.accept_errors").value();
+  FrontEndUnderTest fe(GetParam(), /*max_connections=*/64);
+  const std::string errors = fe.metric("accept_errors");
+  const std::uint64_t errors_before = obs::metrics().counter(errors).value();
 
   fault::ScopedFaultPlan plan(/*seed=*/41);
   fault::FaultSpec accept_fail;
@@ -869,14 +928,16 @@ TEST(EventLoopServing, AcceptErrorsBackOffAndRecover) {
   // The TCP connect lands in the kernel backlog immediately; the query
   // is served only after the loop survives three injected accept
   // failures (1+2+4ms of backoff) and accepts for real.
-  AdrClient client(fx.server.port());
-  const WireResult result = client.submit(fx.basic_query());
+  AdrClient client(fe.port());
+  const WireResult result = client.submit(fe.fx.basic_query());
   ASSERT_TRUE(result.ok()) << result.status.to_string();
 
   EXPECT_EQ(fault::faults().stats("net.accept").fires, 3u);
-  EXPECT_EQ(obs::metrics().counter("server.accept_errors").value(),
-            errors_before + 3);
+  EXPECT_EQ(obs::metrics().counter(errors).value(), errors_before + 3);
 }
+
+INSTANTIATE_TEST_SUITE_P(FrontEnds, EventLoopServing,
+                         ::testing::Values(FrontEnd::kServer, FrontEnd::kRouter));
 
 TEST(EventLoopServing, StatsAtCapacityReportsBusyNotWireError) {
   // Regression: a stats request against a server at its connection cap
@@ -884,7 +945,7 @@ TEST(EventLoopServing, StatsAtCapacityReportsBusyNotWireError) {
   // throw an opaque "wire: not a stats reply".  The client now surfaces
   // the typed refusal with the server's retry-after hint.
   ServerFixture fx;
-  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, /*max_connections=*/1);
+  AdrServer tight(fx.repo, /*port=*/0, ComputeCosts{}, with_max_connections(1));
   tight.start();
   AdrClient holder(tight.port());
   ASSERT_TRUE(holder.submit(fx.basic_query()).ok());  // slot registered

@@ -484,14 +484,16 @@ struct E2EFixture : CostFixture {
   net::AdrServer server;
 
   E2EFixture()
-      : server(repo, /*port=*/0, ComputeCosts{}, /*max_connections=*/16,
-               /*scheduler_workers=*/2, /*max_pending=*/64, [] {
-                 net::TelemetryOptions t;
-                 t.sample_period = std::chrono::milliseconds(20);
-                 t.sample_capacity = 128;
-                 t.http_port = 0;  // ephemeral
-                 return t;
-               }()) {
+      : server(repo, /*port=*/0, ComputeCosts{}, [] {
+          RuntimeConfig rt;
+          rt.max_connections = 16;
+          rt.scheduler_workers = 2;
+          rt.max_pending = 64;
+          rt.telemetry.sample_period = std::chrono::milliseconds(20);
+          rt.telemetry.sample_capacity = 128;
+          rt.telemetry.http_port = 0;  // ephemeral
+          return rt;
+        }()) {
     server.start();
   }
   ~E2EFixture() { server.stop(); }
