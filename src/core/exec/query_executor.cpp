@@ -291,7 +291,7 @@ class Engine {
       NodeStats& ns = nstats(node);
       std::shared_ptr<const std::vector<std::byte>> payload;
       if (existing->has_value() && (*existing)->has_payload()) {
-        payload = std::make_shared<const std::vector<std::byte>>((*existing)->payload());
+        payload = (*existing)->shared_payload();
       }
       for (int host : plan_.ghost_hosts[o]) {
         Message msg;
@@ -331,7 +331,7 @@ class Engine {
     // Rebuild the owner's output chunk view for Initialize.
     std::shared_ptr<Chunk> existing;
     if (msg.payload != nullptr) {
-      existing = std::make_shared<Chunk>(output_meta(o), *msg.payload);
+      existing = std::make_shared<Chunk>(output_meta(o), msg.payload);
     }
     const double unpack = comm_charge(msg.bytes);
     nstats(node).compute_init_s += costs_.init;
@@ -402,8 +402,7 @@ class Engine {
                     NodeStats& ns = nstats(node);
                     std::shared_ptr<const std::vector<std::byte>> payload;
                     if (held->has_value() && (*held)->has_payload()) {
-                      payload = std::make_shared<const std::vector<std::byte>>(
-                          (*held)->payload());
+                      payload = (*held)->shared_payload();
                     }
                     for (int dst : dests) {
                       Message msg;
@@ -460,7 +459,7 @@ class Engine {
     nstats(node).compute_comm_s += unpack;
     std::shared_ptr<Chunk> chunk;
     if (msg.payload != nullptr) {
-      chunk = std::make_shared<Chunk>(input_meta(i), *msg.payload);
+      chunk = std::make_shared<Chunk>(input_meta(i), msg.payload);
     }
     exec_.compute(node, cost, [this, node, i, targets = std::move(targets), chunk]() {
       aggregate_into(node, i, targets, chunk ? chunk.get() : nullptr);

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "common/fault.hpp"
 #include "obs/metrics.hpp"
@@ -21,6 +22,7 @@ struct CacheMetrics {
   obs::Counter& evictions;
   obs::Counter& insertions;
   obs::Counter& invalidations;
+  obs::Counter& coalesced;
   obs::Gauge& resident_bytes;
   obs::Gauge& resident_chunks;
 };
@@ -33,6 +35,7 @@ CacheMetrics& cache_metrics() {
                         obs::metrics().counter("chunk_cache.evictions"),
                         obs::metrics().counter("chunk_cache.insertions"),
                         obs::metrics().counter("chunk_cache.invalidations"),
+                        obs::metrics().counter("chunk_cache.coalesced"),
                         obs::metrics().gauge("chunk_cache.resident_bytes"),
                         obs::metrics().gauge("chunk_cache.resident_chunks")};
   return m;
@@ -93,16 +96,19 @@ void CachingChunkStore::install_locked(Shard& shard, const Chunk& chunk) const {
   cache_metrics().resident_chunks.add(1);
 }
 
+void CachingChunkStore::count_hit_locked(Shard& shard, const Chunk& chunk) const {
+  ++shard.hits;
+  shard.hit_bytes += chunk.payload().size();
+  cache_metrics().hits.add();
+  cache_metrics().hit_bytes.add(chunk.payload().size());
+}
+
 void CachingChunkStore::put(Chunk chunk) {
-  const int disk = chunk.meta().disk;
-  if (disk < 0 || disk >= num_disks()) {
-    // Let the backing store produce its usual error for bad placements.
-    backing_->put(std::move(chunk));
-    return;
-  }
-  Shard& shard = shard_of(disk);
+  Shard& shard = shard_of(chunk.meta().disk);
   std::lock_guard<std::mutex> lock(shard.mutex);
   backing_->put(chunk);  // write-through first: backing is ground truth
+  // A fetch of this id already in flight may have read the old bytes.
+  shard.flights.invalidate(chunk.meta().id);
   auto it = shard.entries.find(chunk.meta().id);
   if (it != shard.entries.end()) {
     // Coherence on overwrite of a cached id: refresh in place.
@@ -113,31 +119,82 @@ void CachingChunkStore::put(Chunk chunk) {
 }
 
 std::optional<Chunk> CachingChunkStore::get(int disk, ChunkId id) const {
-  if (disk < 0 || disk >= num_disks()) return backing_->get(disk, id);
   Shard& shard = shard_of(disk);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(id);
-  if (it != shard.entries.end()) {
-    ++shard.hits;
-    shard.hit_bytes += it->second.chunk.payload().size();
-    cache_metrics().hits.add();
-    cache_metrics().hit_bytes.add(it->second.chunk.payload().size());
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-    return it->second.chunk;
+  std::shared_ptr<Flight> flight;
+  bool leader = false;
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    auto it = shard.entries.find(id);
+    if (it != shard.entries.end()) {
+      count_hit_locked(shard, it->second.chunk);
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+      return it->second.chunk;  // shares the cached buffer
+    }
+    flight = shard.flights.find(id);
+    if (flight != nullptr) {
+      ++shard.coalesced;
+      cache_metrics().coalesced.add();
+    } else {
+      ++shard.misses;
+      cache_metrics().misses.add();
+      flight = shard.flights.start(id);
+      leader = true;
+    }
   }
-  ++shard.misses;
-  cache_metrics().misses.add();
+  return leader ? fetch_as_leader(shard, disk, id, *flight) : await_leader(shard, *flight);
+}
+
+std::optional<Chunk> CachingChunkStore::fetch_as_leader(Shard& shard, int disk, ChunkId id,
+                                                        Flight& flight) const {
   // A failed backing fetch must never populate the shard: a fault that
   // throws below (or the injected one here, between the fetch and the
   // install) would otherwise be masked for every later reader, serving
-  // bytes the "disk" never delivered.
-  std::optional<Chunk> chunk = backing_->get(disk, id);
-  fault::faults().check("storage.cache_fetch");
-  if (chunk.has_value()) {
-    shard.miss_bytes += chunk->payload().size();
-    cache_metrics().miss_bytes.add(chunk->payload().size());
-    install_locked(shard, *chunk);
+  // bytes the "disk" never delivered.  Its waiters get the same error.
+  std::optional<Chunk> chunk;
+  try {
+    chunk = backing_->get(disk, id);
+    fault::faults().check("storage.cache_fetch");
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(shard.mutex);
+      shard.flights.finish(id, flight);
+    }
+    flight.fail(std::current_exception());
+    throw;
   }
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    shard.flights.finish(id, flight);
+    if (chunk.has_value()) {
+      const std::uint64_t bytes = std::as_const(*chunk).payload().size();
+      shard.miss_bytes += bytes;
+      cache_metrics().miss_bytes.add(bytes);
+      if (!flight.stale) install_locked(shard, *chunk);
+    }
+  }
+  flight.complete(chunk);
+  return chunk;
+}
+
+std::optional<Chunk> CachingChunkStore::await_leader(Shard& shard,
+                                                     const Flight& flight) const {
+  std::optional<Chunk> chunk;
+  std::exception_ptr error;
+  try {
+    chunk = flight.wait();
+  } catch (...) {
+    error = std::current_exception();
+  }
+  {
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    if (chunk.has_value()) {
+      count_hit_locked(shard, *chunk);
+    } else {
+      ++shard.misses;
+      cache_metrics().misses.add();
+    }
+  }
+  if (error) std::rethrow_exception(error);
   return chunk;
 }
 
@@ -146,9 +203,9 @@ bool CachingChunkStore::contains(int disk, ChunkId id) const {
 }
 
 bool CachingChunkStore::erase(int disk, ChunkId id) {
-  if (disk < 0 || disk >= num_disks()) return backing_->erase(disk, id);
   Shard& shard = shard_of(disk);
   std::lock_guard<std::mutex> lock(shard.mutex);
+  shard.flights.invalidate(id);
   auto it = shard.entries.find(id);
   if (it != shard.entries.end()) {
     ++shard.invalidations;
@@ -177,6 +234,7 @@ ChunkCacheStats CachingChunkStore::stats() const {
     total.evictions += shard->evictions;
     total.insertions += shard->insertions;
     total.invalidations += shard->invalidations;
+    total.coalesced += shard->coalesced;
     total.resident_bytes += shard->bytes;
     total.resident_chunks += shard->entries.size();
   }

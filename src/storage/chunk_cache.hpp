@@ -13,9 +13,20 @@
 // from changes — exactly the layering bench/ablation_caching.cpp modelled
 // in the simulator.
 //
+// A hit shares the cached payload buffer (a refcount bump, no copy).
+// Misses are single-flight (storage/single_flight.hpp): the first reader
+// to miss an id fetches it with no shard lock held, and concurrent
+// readers missing the same id wait for that fetch instead of reading it
+// again.  A waiter served that way counts as a hit: its bytes did not
+// come from the backing store.  A put or erase of the id during the
+// fetch marks it stale, so bytes that may predate the write are never
+// installed.
+//
 // Thread safety: fully thread-safe.  Lock order: shard mutex -> backing
-// store's internal mutex (a shard lock is held across the backing get on
-// a miss; the backing store never calls back into the cache).
+// store's internal locks (put and erase hold the shard lock across the
+// backing write so the cache and the backing store change in the same
+// order; a get never holds it across the backing read; the backing store
+// never calls back into the cache).
 #pragma once
 
 #include <cstdint>
@@ -27,6 +38,7 @@
 #include <vector>
 
 #include "storage/disk_store.hpp"
+#include "storage/single_flight.hpp"
 
 namespace adr {
 
@@ -42,6 +54,11 @@ struct ChunkCacheStats {
   std::uint64_t evictions = 0;
   std::uint64_t insertions = 0;
   std::uint64_t invalidations = 0;
+  /// Gets that missed while another reader's fetch of the same id was in
+  /// flight and waited for it instead of reading the backing store.  Each
+  /// is also counted once in hits (or in misses, when that fetch failed
+  /// or found nothing).
+  std::uint64_t coalesced = 0;
   /// Point-in-time occupancy.
   std::uint64_t resident_bytes = 0;
   std::uint64_t resident_chunks = 0;
@@ -84,6 +101,7 @@ class CachingChunkStore : public ChunkStore {
     mutable std::mutex mutex;
     std::list<ChunkId> lru;  // front = most recently used
     std::unordered_map<ChunkId, Entry, ChunkIdHash> entries;
+    FlightTable flights;
     std::uint64_t bytes = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -92,13 +110,25 @@ class CachingChunkStore : public ChunkStore {
     std::uint64_t evictions = 0;
     std::uint64_t insertions = 0;
     std::uint64_t invalidations = 0;
+    std::uint64_t coalesced = 0;
   };
 
   static std::uint64_t charge(const Chunk& chunk) {
     return chunk.payload().size() + kEntryOverheadBytes;
   }
 
-  Shard& shard_of(int disk) const { return *shards_[static_cast<std::size_t>(disk)]; }
+  Shard& shard_of(int disk) const {
+    check_disk(disk);
+    return *shards_[static_cast<std::size_t>(disk)];
+  }
+  /// The leader's side of a miss: fetches without the shard lock and
+  /// installs the result unless a put or erase made it stale.
+  std::optional<Chunk> fetch_as_leader(Shard& shard, int disk, ChunkId id,
+                                       Flight& flight) const;
+  /// A waiter's side of a miss: the leader's outcome, counted as a hit
+  /// when it delivered a chunk and as a miss otherwise.
+  std::optional<Chunk> await_leader(Shard& shard, const Flight& flight) const;
+  void count_hit_locked(Shard& shard, const Chunk& chunk) const;
   /// Inserts or refreshes `chunk` in `shard`, evicting LRU entries until
   /// it fits.  Caller holds the shard mutex.
   void install_locked(Shard& shard, const Chunk& chunk) const;

@@ -1,10 +1,16 @@
 #include "storage/disk_store.hpp"
 
-#include <cassert>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/fault.hpp"
 #include "obs/metrics.hpp"
@@ -29,52 +35,112 @@ StorageMetrics& storage_metrics() {
   return m;
 }
 
-}  // namespace
-
-MemoryChunkStore::MemoryChunkStore(int num_disks) : disks_(static_cast<size_t>(num_disks)) {
-  assert(num_disks >= 1);
+std::runtime_error io_error(const char* what, const std::filesystem::path& path) {
+  return std::runtime_error(std::string("FileChunkStore: ") + what + " " + path.string() +
+                            ": " + std::strerror(errno));
 }
 
-void MemoryChunkStore::put(Chunk chunk) {
-  const int disk = chunk.meta().disk;
-  assert(disk >= 0 && disk < num_disks());
-  std::lock_guard<std::mutex> lock(mutex_);
-  Disk& d = disks_[static_cast<size_t>(disk)];
-  auto [it, inserted] = d.chunks.insert_or_assign(chunk.meta().id, std::move(chunk));
-  if (!inserted) {
-    // Replacement: adjust byte accounting below using the new value only;
-    // recompute lazily to keep the common path cheap.
-    d.bytes = 0;
-    for (const auto& [id, c] : d.chunks) d.bytes += c.meta().bytes;
-  } else {
-    d.bytes += it->second.meta().bytes;
+int open_file(const std::filesystem::path& path, int flags) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC, 0644);
+  if (fd < 0) throw io_error("cannot open", path);
+  return fd;
+}
+
+/// Reads exactly `n` bytes at `offset`, retrying on EINTR and on partial
+/// reads.  End of file before `n` bytes is an error: a caller never sees
+/// a partial payload.
+void pread_exact(int fd, std::byte* dst, std::size_t n, std::uint64_t offset,
+                 const std::filesystem::path& path) {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd, dst, n, static_cast<off_t>(offset));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      throw io_error("read failed from", path);
+    }
+    if (got == 0) throw std::runtime_error("FileChunkStore: short read from " + path.string());
+    dst += got;
+    n -= static_cast<std::size_t>(got);
+    offset += static_cast<std::uint64_t>(got);
   }
 }
 
+/// Writes all `n` bytes, at `offset` or (offset < 0) at the fd's current
+/// position, retrying on EINTR and on partial writes.
+void write_all(int fd, const void* src, std::size_t n, std::int64_t offset,
+               const std::filesystem::path& path) {
+  const char* p = static_cast<const char*>(src);
+  while (n > 0) {
+    const ssize_t put = offset < 0 ? ::write(fd, p, n) : ::pwrite(fd, p, n, offset);
+    if (put < 0) {
+      if (errno == EINTR) continue;
+      throw io_error("write failed to", path);
+    }
+    p += put;
+    n -= static_cast<std::size_t>(put);
+    if (offset >= 0) offset += put;
+  }
+}
+
+}  // namespace
+
+void ChunkStore::check_disk(int disk) const {
+  if (disk < 0 || disk >= num_disks()) {
+    throw std::out_of_range("ChunkStore: disk " + std::to_string(disk) +
+                            " is outside a farm of " + std::to_string(num_disks()));
+  }
+}
+
+MemoryChunkStore::MemoryChunkStore(int num_disks)
+    : disks_(static_cast<size_t>(std::max(num_disks, 0))) {
+  if (num_disks < 1) throw std::invalid_argument("MemoryChunkStore: needs at least one disk");
+}
+
+MemoryChunkStore::Disk& MemoryChunkStore::disk_at(int disk) {
+  check_disk(disk);
+  return disks_[static_cast<size_t>(disk)];
+}
+
+const MemoryChunkStore::Disk& MemoryChunkStore::disk_at(int disk) const {
+  check_disk(disk);
+  return disks_[static_cast<size_t>(disk)];
+}
+
+void MemoryChunkStore::put(Chunk chunk) {
+  Disk& d = disk_at(chunk.meta().disk);
+  const std::uint64_t bytes = chunk.meta().bytes;
+  std::lock_guard<std::mutex> lock(d.mutex);
+  auto [it, inserted] = d.chunks.try_emplace(chunk.meta().id);
+  if (!inserted) d.bytes -= it->second.meta().bytes;
+  it->second = std::move(chunk);
+  d.bytes += bytes;
+}
+
 std::optional<Chunk> MemoryChunkStore::get(int disk, ChunkId id) const {
-  assert(disk >= 0 && disk < num_disks());
-  // Checked before the store lock: a latency fault sleeps without
-  // serializing the whole farm; an error fault throws StatusError.
+  const Disk& d = disk_at(disk);
+  // Checked before the disk lock: a latency fault sleeps without
+  // blocking other readers of the disk; an error fault throws StatusError.
   fault::faults().check("storage.fetch");
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Disk& d = disks_[static_cast<size_t>(disk)];
-  auto it = d.chunks.find(id);
-  if (it == d.chunks.end()) return std::nullopt;
+  std::optional<Chunk> chunk;
+  {
+    std::lock_guard<std::mutex> lock(d.mutex);
+    auto it = d.chunks.find(id);
+    if (it == d.chunks.end()) return std::nullopt;
+    chunk = it->second;  // shares the payload buffer
+  }
   storage_metrics().chunk_reads.add();
-  storage_metrics().bytes_read.add(it->second.payload().size());
-  return it->second;
+  storage_metrics().bytes_read.add(std::as_const(*chunk).payload().size());
+  return chunk;
 }
 
 bool MemoryChunkStore::contains(int disk, ChunkId id) const {
-  assert(disk >= 0 && disk < num_disks());
-  std::lock_guard<std::mutex> lock(mutex_);
-  return disks_[static_cast<size_t>(disk)].chunks.contains(id);
+  const Disk& d = disk_at(disk);
+  std::lock_guard<std::mutex> lock(d.mutex);
+  return d.chunks.contains(id);
 }
 
 bool MemoryChunkStore::erase(int disk, ChunkId id) {
-  assert(disk >= 0 && disk < num_disks());
-  std::lock_guard<std::mutex> lock(mutex_);
-  Disk& d = disks_[static_cast<size_t>(disk)];
+  Disk& d = disk_at(disk);
+  std::lock_guard<std::mutex> lock(d.mutex);
   auto it = d.chunks.find(id);
   if (it == d.chunks.end()) return false;
   d.bytes -= it->second.meta().bytes;
@@ -83,41 +149,54 @@ bool MemoryChunkStore::erase(int disk, ChunkId id) {
 }
 
 std::size_t MemoryChunkStore::chunk_count(int disk) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return disks_[static_cast<size_t>(disk)].chunks.size();
+  const Disk& d = disk_at(disk);
+  std::lock_guard<std::mutex> lock(d.mutex);
+  return d.chunks.size();
 }
 
 std::uint64_t MemoryChunkStore::bytes_on_disk(int disk) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return disks_[static_cast<size_t>(disk)].bytes;
+  const Disk& d = disk_at(disk);
+  std::lock_guard<std::mutex> lock(d.mutex);
+  return d.bytes;
+}
+
+FileChunkStore::OwnedFd::~OwnedFd() {
+  if (fd >= 0) ::close(fd);
 }
 
 FileChunkStore::FileChunkStore(std::filesystem::path dir, int num_disks,
                                bool open_existing)
     : dir_(std::move(dir)),
       manifest_path_(dir_ / "manifest.txt"),
-      disks_(static_cast<size_t>(num_disks)) {
-  assert(num_disks >= 1);
+      disks_(static_cast<size_t>(std::max(num_disks, 0))) {
+  if (num_disks < 1) throw std::invalid_argument("FileChunkStore: needs at least one disk");
   std::filesystem::create_directories(dir_);
+  // A fresh store truncates any stale files from a previous run.
+  const int truncate = open_existing ? 0 : O_TRUNC;
   for (int k = 0; k < num_disks; ++k) {
     Disk& d = disks_[static_cast<size_t>(k)];
     d.path = dir_ / ("disk" + std::to_string(k) + ".dat");
-    if (!open_existing) {
-      // Truncate any stale file from a previous run.
-      std::ofstream(d.path, std::ios::binary | std::ios::trunc);
-    }
+    d.write_fd.fd = open_file(d.path, O_WRONLY | O_CREAT | truncate);
+    d.read_fd.fd = open_file(d.path, O_RDONLY);
   }
-  if (open_existing) {
-    replay_manifest();
-  } else {
-    std::ofstream(manifest_path_, std::ios::trunc);
-  }
+  if (open_existing) replay_manifest();
+  manifest_fd_.fd = open_file(manifest_path_, O_WRONLY | O_CREAT | O_APPEND | truncate);
+}
+
+FileChunkStore::Disk& FileChunkStore::disk_at(int disk) {
+  check_disk(disk);
+  return disks_[static_cast<size_t>(disk)];
+}
+
+const FileChunkStore::Disk& FileChunkStore::disk_at(int disk) const {
+  check_disk(disk);
+  return disks_[static_cast<size_t>(disk)];
 }
 
 void FileChunkStore::append_manifest(const std::string& line) {
-  std::ofstream f(manifest_path_, std::ios::app);
-  if (!f) throw std::runtime_error("FileChunkStore: cannot append manifest");
-  f << line << '\n';
+  const std::string record = line + '\n';
+  std::lock_guard<std::mutex> lock(manifest_mutex_);
+  write_all(manifest_fd_.fd, record.data(), record.size(), /*offset=*/-1, manifest_path_);
 }
 
 void FileChunkStore::replay_manifest() {
@@ -161,6 +240,9 @@ void FileChunkStore::replay_manifest() {
       if (!(ls >> disk >> id.dataset >> id.index)) {
         throw std::runtime_error("FileChunkStore: bad manifest erase line");
       }
+      if (disk < 0 || disk >= num_disks()) {
+        throw std::runtime_error("FileChunkStore: manifest disk out of range");
+      }
       Disk& d = disks_[static_cast<size_t>(disk)];
       auto it = d.entries.find(id);
       if (it != d.entries.end()) {
@@ -177,18 +259,18 @@ FileChunkStore::~FileChunkStore() = default;
 
 void FileChunkStore::put(Chunk chunk) {
   const int disk = chunk.meta().disk;
-  assert(disk >= 0 && disk < num_disks());
-  std::lock_guard<std::mutex> lock(mutex_);
-  Disk& d = disks_[static_cast<size_t>(disk)];
+  Disk& d = disk_at(disk);
+  const std::vector<std::byte>& payload = std::as_const(chunk).payload();
+  std::lock_guard<std::mutex> lock(d.mutex);
   Entry e;
   e.meta = chunk.meta();
   e.offset = d.file_size;
-  e.stored_bytes = chunk.payload().size();
+  e.stored_bytes = payload.size();
   if (e.stored_bytes > 0) {
-    std::ofstream f(d.path, std::ios::binary | std::ios::app);
-    if (!f) throw std::runtime_error("FileChunkStore: cannot open " + d.path.string());
-    f.write(reinterpret_cast<const char*>(chunk.payload().data()),
-            static_cast<std::streamsize>(e.stored_bytes));
+    // The bytes land before the entry is published: a reader that finds
+    // the entry can pread them without the lock.
+    write_all(d.write_fd.fd, payload.data(), payload.size(),
+              static_cast<std::int64_t>(e.offset), d.path);
     d.file_size += e.stored_bytes;
   }
   auto it = d.entries.find(e.meta.id);
@@ -206,35 +288,35 @@ void FileChunkStore::put(Chunk chunk) {
 }
 
 std::optional<Chunk> FileChunkStore::get(int disk, ChunkId id) const {
-  assert(disk >= 0 && disk < num_disks());
+  const Disk& d = disk_at(disk);
+  // Checked before the disk lock: a latency fault sleeps without
+  // blocking other readers of the disk; an error fault throws StatusError.
   fault::faults().check("storage.fetch");
-  std::lock_guard<std::mutex> lock(mutex_);
-  const Disk& d = disks_[static_cast<size_t>(disk)];
-  auto it = d.entries.find(id);
-  if (it == d.entries.end()) return std::nullopt;
-  const Entry& e = it->second;
+  Entry e;
+  {
+    std::lock_guard<std::mutex> lock(d.mutex);
+    auto it = d.entries.find(id);
+    if (it == d.entries.end()) return std::nullopt;
+    e = it->second;
+  }
   std::vector<std::byte> payload(e.stored_bytes);
   if (e.stored_bytes > 0) {
-    std::ifstream f(d.path, std::ios::binary);
-    if (!f) throw std::runtime_error("FileChunkStore: cannot open " + d.path.string());
-    f.seekg(static_cast<std::streamoff>(e.offset));
-    f.read(reinterpret_cast<char*>(payload.data()),
-           static_cast<std::streamsize>(e.stored_bytes));
-    if (!f) throw std::runtime_error("FileChunkStore: short read from " + d.path.string());
+    pread_exact(d.read_fd.fd, payload.data(), payload.size(), e.offset, d.path);
   }
   storage_metrics().chunk_reads.add();
   storage_metrics().bytes_read.add(payload.size());
-  return Chunk(e.meta, std::move(payload));
+  return Chunk(std::move(e.meta), std::move(payload));
 }
 
 bool FileChunkStore::contains(int disk, ChunkId id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return disks_[static_cast<size_t>(disk)].entries.contains(id);
+  const Disk& d = disk_at(disk);
+  std::lock_guard<std::mutex> lock(d.mutex);
+  return d.entries.contains(id);
 }
 
 bool FileChunkStore::erase(int disk, ChunkId id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Disk& d = disks_[static_cast<size_t>(disk)];
+  Disk& d = disk_at(disk);
+  std::lock_guard<std::mutex> lock(d.mutex);
   auto it = d.entries.find(id);
   if (it == d.entries.end()) return false;
   d.live_bytes -= it->second.meta.bytes;
@@ -245,13 +327,15 @@ bool FileChunkStore::erase(int disk, ChunkId id) {
 }
 
 std::size_t FileChunkStore::chunk_count(int disk) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return disks_[static_cast<size_t>(disk)].entries.size();
+  const Disk& d = disk_at(disk);
+  std::lock_guard<std::mutex> lock(d.mutex);
+  return d.entries.size();
 }
 
 std::uint64_t FileChunkStore::bytes_on_disk(int disk) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return disks_[static_cast<size_t>(disk)].live_bytes;
+  const Disk& d = disk_at(disk);
+  std::lock_guard<std::mutex> lock(d.mutex);
+  return d.live_bytes;
 }
 
 }  // namespace adr

@@ -45,10 +45,17 @@ class ChunkStore {
   virtual std::uint64_t bytes_on_disk(int disk) const = 0;
 
   virtual int num_disks() const = 0;
+
+ protected:
+  /// Throws std::out_of_range unless `disk` addresses this farm.  Every
+  /// entry point checks, in every build: a bad index is a caller error
+  /// that must never reach a vector subscript.
+  void check_disk(int disk) const;
 };
 
 /// In-memory backend.  Thread-safe: the thread executor reads concurrently
-/// from many node threads.
+/// from many node threads.  Each disk has its own lock, and a get only
+/// copies the chunk's handle: the payload buffer is shared, not copied.
 class MemoryChunkStore : public ChunkStore {
  public:
   explicit MemoryChunkStore(int num_disks);
@@ -63,10 +70,13 @@ class MemoryChunkStore : public ChunkStore {
 
  private:
   struct Disk {
+    mutable std::mutex mutex;
     std::unordered_map<ChunkId, Chunk, ChunkIdHash> chunks;
     std::uint64_t bytes = 0;
   };
-  mutable std::mutex mutex_;
+  Disk& disk_at(int disk);
+  const Disk& disk_at(int disk) const;
+
   std::vector<Disk> disks_;
 };
 
@@ -76,6 +86,13 @@ class MemoryChunkStore : public ChunkStore {
 /// appended to `<dir>/manifest.txt`, so a store can be reopened in a
 /// later process with `open_existing = true` (the manifest is replayed
 /// to rebuild the offset tables).
+///
+/// Each disk has its own lock and keeps its data file open for the
+/// store's lifetime: one fd that put() writes through and one read-only
+/// fd that get() reads with pread.  A get holds the disk lock only to
+/// look up (offset, size); the read itself runs outside every lock.
+/// That is safe because data files are append-only and an entry is
+/// published only after its bytes are written.
 class FileChunkStore : public ChunkStore {
  public:
   FileChunkStore(std::filesystem::path dir, int num_disks,
@@ -98,19 +115,35 @@ class FileChunkStore : public ChunkStore {
     std::uint64_t offset = 0;
     std::uint64_t stored_bytes = 0;
   };
+  /// An owned file descriptor, closed on destruction.
+  struct OwnedFd {
+    int fd = -1;
+    OwnedFd() = default;
+    OwnedFd(const OwnedFd&) = delete;
+    OwnedFd& operator=(const OwnedFd&) = delete;
+    ~OwnedFd();
+  };
   struct Disk {
+    mutable std::mutex mutex;
     std::filesystem::path path;
+    OwnedFd write_fd;
+    OwnedFd read_fd;
     std::map<ChunkId, Entry> entries;
     std::uint64_t file_size = 0;
     std::uint64_t live_bytes = 0;
   };
+  Disk& disk_at(int disk);
+  const Disk& disk_at(int disk) const;
 
+  /// Appends one line to the manifest.  Callers hold the line's disk
+  /// lock, so each disk's lines land in the order its state changed.
   void append_manifest(const std::string& line);
   void replay_manifest();
 
-  mutable std::mutex mutex_;
   std::filesystem::path dir_;
   std::filesystem::path manifest_path_;
+  std::mutex manifest_mutex_;
+  OwnedFd manifest_fd_;
   std::vector<Disk> disks_;
 };
 

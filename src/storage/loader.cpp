@@ -14,7 +14,7 @@ Dataset load_dataset(std::uint32_t id, const std::string& name, const Rect& doma
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     chunks[i].meta().id = ChunkId{id, static_cast<std::uint32_t>(i)};
     if (chunks[i].meta().bytes == 0) {
-      chunks[i].meta().bytes = chunks[i].payload().size();
+      chunks[i].meta().bytes = std::as_const(chunks[i]).payload().size();
     }
     metas.push_back(chunks[i].meta());
   }

@@ -16,10 +16,16 @@
 // pass straight through.  put()/erase() forward to the backing store and
 // update/invalidate any retained copy, so a member that writes a chunk a
 // later member reads observes the same bytes serial execution would.
+// Hits share the retained payload buffer; nothing is copied.
 //
-// Thread safety: fully thread-safe (one mutex; the gang's node threads
-// read concurrently).  Lock order: SharedScanStore mutex -> backing
-// store internals (the backing store never calls back in).
+// Thread safety: fully thread-safe (one mutex over the maps; the gang's
+// node threads read concurrently).  The mutex is never held across a
+// backing fetch: cold fetches are single-flight (storage/single_flight.hpp),
+// so planned readers that arrive while a chunk is being fetched wait for
+// that fetch, and reads of other chunks proceed.  A put or erase during
+// the fetch keeps its possibly superseded bytes from being retained.
+// put and erase forward to the backing store before taking the mutex;
+// the backing store never calls back in.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +34,7 @@
 #include <unordered_map>
 
 #include "storage/disk_store.hpp"
+#include "storage/single_flight.hpp"
 
 namespace adr {
 
@@ -35,7 +42,8 @@ struct SharedScanStats {
   /// Fetches that reached the backing store for a chunk with registered
   /// uses — the gang's cold reads.
   std::uint64_t cold_fetches = 0;
-  /// Reads served from the retained buffer.
+  /// Reads served from the retained buffer or from a cold fetch that
+  /// was already in flight.
   std::uint64_t shared_hits = 0;
   /// Reads with no registered use (forwarded untouched).
   std::uint64_t passthrough = 0;
@@ -70,12 +78,18 @@ class SharedScanStore : public ChunkStore {
     std::uint32_t remaining = 0;
   };
 
+  /// Keeps a completed cold fetch for the chunk's remaining planned
+  /// readers, when there are any and the cap allows.  Caller holds mutex_.
+  void retain_locked(ChunkId id, const std::optional<Chunk>& chunk,
+                     const Flight& flight) const;
+
   ChunkStore* backing_;
   const std::uint64_t max_bytes_;
 
   mutable std::mutex mutex_;
   mutable std::unordered_map<ChunkId, std::uint32_t, ChunkIdHash> planned_;
   mutable std::unordered_map<ChunkId, Entry, ChunkIdHash> retained_;
+  mutable FlightTable flights_;
   mutable SharedScanStats stats_;
 };
 

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
+#include <future>
+#include <thread>
 
 #include "common/fault.hpp"
 #include "storage/shared_scan.hpp"
@@ -388,6 +391,73 @@ TEST(SharedScanStore, PutInvalidatesRetainedCopy) {
   const auto c = scan.get(0, {1, 0});
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->payload()[0], std::byte{0x77});
+}
+
+TEST(SharedScanStore, ConcurrentPlannedReadersShareOneColdFetch) {
+  // The cold fetch of a chunk is held in the backing store while the
+  // gang's other planned readers of it arrive.  They share that one
+  // fetch, and the store's lock is not held across it: a read of another
+  // chunk completes meanwhile.
+  constexpr int kReaders = 4;
+  MemoryChunkStore backing(1);
+  backing.put(test_chunk(0, 8));
+  backing.put(test_chunk(1, 8));
+  testing::GatedStore gate(backing, {1, 0});
+  SharedScanStore scan(gate);
+  scan.add_planned_uses({1, 0}, kReaders);
+
+  std::vector<std::optional<Chunk>> got(kReaders);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t]() { got[t] = scan.get(0, {1, 0}); });
+  }
+  const bool entered = gate.wait_entered(1);
+  auto other = std::async(std::launch::async, [&] { return scan.get(0, {1, 1}); });
+  const bool other_done =
+      other.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  gate.open();
+  for (auto& t : threads) t.join();
+
+  ASSERT_TRUE(entered);
+  EXPECT_TRUE(other_done) << "the store lock was held across the cold fetch";
+  EXPECT_TRUE(other.get().has_value());
+  EXPECT_EQ(gate.entered(), 1);
+  for (int t = 0; t < kReaders; ++t) {
+    ASSERT_TRUE(got[t].has_value()) << t;
+    EXPECT_EQ(got[t]->shared_payload(), got[0]->shared_payload()) << t;
+  }
+  const SharedScanStats stats = scan.stats();
+  EXPECT_EQ(stats.cold_fetches, 1u);
+  EXPECT_EQ(stats.shared_hits, static_cast<std::uint64_t>(kReaders - 1));
+  EXPECT_EQ(stats.resident_bytes, 0u);  // every planned use was spent
+}
+
+TEST(SharedScanStore, PutDuringColdFetchIsNotSupersededByItsBytes) {
+  // A writer replaces the chunk while its cold fetch is in flight.  The
+  // fetched bytes may predate the write, so they are not retained: the
+  // gang's later readers fetch again and see the new bytes.
+  MemoryChunkStore backing(1);
+  backing.put(test_chunk(0, 8));
+  testing::GatedStore gate(backing, {1, 0});
+  SharedScanStore scan(gate);
+  scan.add_planned_uses({1, 0}, 3);
+
+  std::thread leader([&]() { scan.get(0, {1, 0}); });
+  const bool entered = gate.wait_entered(1);
+  ChunkMeta meta = test_chunk(0, 8).meta();
+  scan.put(Chunk(meta, std::vector<std::byte>(8, std::byte{0x77})));
+  gate.open();
+  leader.join();
+
+  ASSERT_TRUE(entered);
+  EXPECT_EQ(scan.stats().resident_bytes, 0u);
+  for (int k = 0; k < 2; ++k) {
+    const auto c = scan.get(0, {1, 0});
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(c->payload()[0], std::byte{0x77}) << k;
+  }
+  EXPECT_EQ(scan.stats().cold_fetches, 2u);
+  EXPECT_EQ(scan.stats().shared_hits, 1u);
 }
 
 }  // namespace

@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <future>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/fault.hpp"
 #include "core/frontend.hpp"
+#include "obs/metrics.hpp"
 #include "runtime/executor_pool.hpp"
 #include "storage/chunk_cache.hpp"
 #include "storage/disk_store.hpp"
@@ -193,6 +197,176 @@ TEST(ChunkCache, ConcurrentGetsAccountEveryAccess) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<std::uint64_t>(kThreads * kGetsEach));
   EXPECT_LE(stats.resident_bytes, 2u * 4 * (256 + 64));  // budget held
+}
+
+// ------------------------------------------------- single-flight misses
+
+/// Polls `done` until it holds or `timeout` passes.
+template <typename Pred>
+bool eventually(Pred done, std::chrono::milliseconds timeout = std::chrono::seconds(10)) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+double elapsed_ms(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - since)
+      .count();
+}
+
+TEST(ChunkCache, ConcurrentMissesOfOneChunkShareOneBackingRead) {
+  // N readers miss the same cold chunk while a storage.fetch latency
+  // fault slows its read: one backing read serves them all.  The miss
+  // holds no shard lock, so a hit on another chunk of the same disk is
+  // served while the read is in flight.
+  constexpr int kReaders = 6;
+  constexpr auto kDelay = std::chrono::milliseconds(400);
+  MemoryChunkStore backing(1);
+  backing.put(make_chunk(1, 0, 0, 256, std::byte{0x41}));
+  backing.put(make_chunk(1, 1, 0, 256, std::byte{0x42}));
+  CachingChunkStore cache(backing, 1 << 20);
+  ASSERT_TRUE(cache.get(0, {1, 1}).has_value());  // warm the neighbour
+
+  obs::Counter& reads = obs::metrics().counter("storage.chunk_reads");
+  const std::uint64_t reads_before = reads.value();
+  const ChunkCacheStats before = cache.stats();
+  fault::ScopedFaultPlan plan(/*seed=*/53);
+  fault::FaultSpec slow;
+  slow.code = StatusCode::kOk;
+  slow.delay = kDelay;
+  plan.arm("storage.fetch", slow);
+
+  std::vector<std::optional<Chunk>> got(kReaders);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&, t]() { got[t] = cache.get(0, {1, 0}); });
+  }
+  const bool in_flight =
+      eventually([] { return fault::faults().stats("storage.fetch").hits >= 1; });
+  const auto hit_start = std::chrono::steady_clock::now();
+  const auto neighbour = cache.get(0, {1, 1});
+  const double hit_ms = elapsed_ms(hit_start);
+  for (auto& t : threads) t.join();
+
+  ASSERT_TRUE(in_flight);
+  ASSERT_TRUE(neighbour.has_value());
+  EXPECT_LT(hit_ms, kDelay.count() / 2.0) << "the shard was locked across the miss";
+  EXPECT_EQ(reads.value() - reads_before, 1u);
+  for (int t = 0; t < kReaders; ++t) {
+    ASSERT_TRUE(got[t].has_value()) << t;
+    EXPECT_EQ(got[t]->payload(), std::vector<std::byte>(256, std::byte{0x41})) << t;
+  }
+  const ChunkCacheStats after = cache.stats();
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, static_cast<std::uint64_t>(kReaders));
+  EXPECT_EQ(after.miss_bytes - before.miss_bytes, 256u);
+}
+
+TEST(ChunkCache, PutDuringInFlightMissIsNotOverwrittenByTheStaleFetch) {
+  // The leader has read the old bytes and is held (by a latency fault)
+  // between its fetch and its install when a put of the same id lands.
+  // The put does not wait for the read, and the stale bytes are never
+  // installed: the next get fetches the new ones.
+  constexpr auto kDelay = std::chrono::milliseconds(500);
+  MemoryChunkStore backing(1);
+  backing.put(make_chunk(1, 0, 0, 100, std::byte{0x01}));
+  CachingChunkStore cache(backing, 1 << 20);
+
+  fault::ScopedFaultPlan plan(/*seed=*/54);
+  fault::FaultSpec slow;
+  slow.trigger = fault::Trigger::kOneShot;
+  slow.code = StatusCode::kOk;
+  slow.delay = kDelay;
+  plan.arm("storage.cache_fetch", slow);
+
+  std::optional<Chunk> raced;
+  std::thread leader([&]() { raced = cache.get(0, {1, 0}); });
+  const bool in_flight =
+      eventually([] { return fault::faults().stats("storage.cache_fetch").hits >= 1; });
+  const auto put_start = std::chrono::steady_clock::now();
+  cache.put(make_chunk(1, 0, 0, 100, std::byte{0x02}));
+  const double put_ms = elapsed_ms(put_start);
+  leader.join();
+
+  ASSERT_TRUE(in_flight);
+  EXPECT_LT(put_ms, kDelay.count() / 2.0) << "the put waited for the in-flight read";
+  ASSERT_TRUE(raced.has_value());  // it raced the put: either version is valid
+  EXPECT_EQ(cache.stats().resident_chunks, 0u);
+  EXPECT_EQ(cache.stats().insertions, 0u);
+  const auto after = cache.get(0, {1, 0});
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->payload(), std::vector<std::byte>(100, std::byte{0x02}));
+  EXPECT_EQ(cache.stats().insertions, 1u);
+  EXPECT_EQ(cache.get(0, {1, 0})->payload()[0], std::byte{0x02});  // now a hit
+}
+
+TEST(ChunkCache, WaitersOfAFailedFetchGetItsErrorAndNothingIsCached) {
+  // The leader's fetch is held in the backing store until every other
+  // reader has joined it; then it fails.  All of them get the error, the
+  // backing store was read once, and the retry fetches real bytes.
+  constexpr int kReaders = 4;
+  MemoryChunkStore backing(1);
+  backing.put(make_chunk(1, 0, 0, 64, std::byte{0x33}));
+  testing::GatedStore gate(backing, {1, 0});
+  CachingChunkStore cache(gate, 1 << 20);
+
+  fault::ScopedFaultPlan plan(/*seed=*/55);
+  fault::FaultSpec spec;
+  spec.trigger = fault::Trigger::kOneShot;
+  plan.arm("storage.cache_fetch", spec);
+
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t) {
+    threads.emplace_back([&]() {
+      try {
+        cache.get(0, {1, 0});
+      } catch (const StatusError&) {
+        ++errors;
+      }
+    });
+  }
+  const bool joined = gate.wait_entered(1) && eventually([&] {
+    return cache.stats().coalesced == kReaders - 1;
+  });
+  gate.open();
+  for (auto& t : threads) t.join();
+
+  ASSERT_TRUE(joined);
+  EXPECT_EQ(errors.load(), kReaders);
+  EXPECT_EQ(gate.entered(), 1);
+  EXPECT_EQ(cache.stats().resident_chunks, 0u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, static_cast<std::uint64_t>(kReaders));
+
+  const auto retried = cache.get(0, {1, 0});
+  ASSERT_TRUE(retried.has_value());
+  EXPECT_EQ(retried->payload()[0], std::byte{0x33});
+  EXPECT_EQ(cache.stats().resident_chunks, 1u);
+}
+
+TEST(ChunkCache, HitsShareTheCachedBufferWithoutCopying) {
+  MemoryChunkStore backing(1);
+  backing.put(make_chunk(1, 0, 0, 512));
+  CachingChunkStore cache(backing, 1 << 20);
+  const auto cold = cache.get(0, {1, 0});
+  const auto warm = cache.get(0, {1, 0});
+  ASSERT_TRUE(cold.has_value() && warm.has_value());
+  EXPECT_EQ(warm->shared_payload(), cold->shared_payload());
+  // And the cached buffer is the backing store's own.
+  EXPECT_EQ(backing.get(0, {1, 0})->shared_payload(), warm->shared_payload());
+}
+
+TEST(ChunkCache, OutOfRangeDiskThrows) {
+  MemoryChunkStore backing(2);
+  CachingChunkStore cache(backing, 1 << 20);
+  EXPECT_THROW(cache.get(2, {1, 0}), std::out_of_range);
+  EXPECT_THROW(cache.erase(-1, {1, 0}), std::out_of_range);
+  EXPECT_THROW(cache.put(make_chunk(1, 0, 5, 8)), std::out_of_range);
+  EXPECT_THROW(cache.contains(2, {1, 0}), std::out_of_range);
 }
 
 // ------------------------------------------------- ThreadExecutorPool

@@ -4,7 +4,9 @@
 
 #include <cstring>
 
+#include <memory>
 #include <unordered_set>
+#include <utility>
 
 namespace adr {
 namespace {
@@ -54,6 +56,48 @@ TEST(Chunk, MutableViewWritesThrough) {
   Chunk chunk(ChunkMeta{}, std::move(payload));
   chunk.as<std::uint64_t>()[1] = 99;
   EXPECT_EQ(chunk.as<std::uint64_t>()[1], 99u);
+}
+
+TEST(Chunk, CopiesShareOnePayloadBuffer) {
+  Chunk a(ChunkMeta{}, std::vector<std::byte>(64, std::byte{1}));
+  const Chunk b = a;
+  EXPECT_EQ(a.shared_payload(), b.shared_payload());
+  EXPECT_EQ(std::as_const(a).payload().data(), b.payload().data());
+}
+
+TEST(Chunk, WriteToASharedBufferCopiesFirst) {
+  Chunk a(ChunkMeta{}, std::vector<std::byte>(64, std::byte{1}));
+  Chunk b = a;
+  b.payload()[0] = std::byte{9};
+  EXPECT_NE(a.shared_payload(), b.shared_payload());
+  EXPECT_EQ(std::as_const(a).payload()[0], std::byte{1});
+  EXPECT_EQ(std::as_const(b).payload()[0], std::byte{9});
+  b.as<std::uint64_t>()[1] = 5;  // b is now the sole owner: no new copy
+  EXPECT_EQ(std::as_const(a).payload()[8], std::byte{1});
+}
+
+TEST(Chunk, SoleOwnerWritesInPlace) {
+  Chunk a(ChunkMeta{}, std::vector<std::byte>(64, std::byte{1}));
+  const auto* before = a.shared_payload().get();
+  a.payload().resize(8);
+  EXPECT_EQ(a.shared_payload().get(), before);
+  EXPECT_EQ(std::as_const(a).payload().size(), 8u);
+}
+
+TEST(Chunk, AdoptedBufferIsNeverWrittenThrough) {
+  auto shared = std::make_shared<const std::vector<std::byte>>(16, std::byte{2});
+  Chunk a(ChunkMeta{}, shared);
+  EXPECT_EQ(a.shared_payload(), shared);
+  a.payload()[0] = std::byte{7};
+  EXPECT_EQ((*shared)[0], std::byte{2});
+  EXPECT_EQ(std::as_const(a).payload()[0], std::byte{7});
+}
+
+TEST(Chunk, MetadataOnlyChunkGainsAPayloadOnWrite) {
+  Chunk a(ChunkMeta{});
+  a.payload().assign(8, std::byte{3});
+  EXPECT_TRUE(a.has_payload());
+  EXPECT_EQ(std::as_const(a).payload().size(), 8u);
 }
 
 TEST(PayloadFromDoubles, PreservesValues) {

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 
 #include <filesystem>
+#include <fstream>
+#include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace adr {
@@ -88,11 +93,33 @@ TYPED_TEST(ChunkStoreTest, CountsAndBytes) {
 TYPED_TEST(ChunkStoreTest, OverwriteReplacesContent) {
   auto store = this->make(1);
   store->put(make_chunk(0, 0, {1}));
+  store->put(make_chunk(1, 0, {7, 8, 9}));
   store->put(make_chunk(0, 0, {42, 43}));
   auto chunk = store->get(0, {0, 0});
   ASSERT_TRUE(chunk.has_value());
   EXPECT_EQ(chunk->template as<std::uint64_t>()[0], 42u);
-  EXPECT_EQ(store->chunk_count(0), 1u);
+  EXPECT_EQ(store->chunk_count(0), 2u);
+  // The overwrite swaps the old size for the new one.
+  EXPECT_EQ(store->bytes_on_disk(0), 5 * sizeof(std::uint64_t));
+  store->put(make_chunk(0, 0, {5}));
+  EXPECT_EQ(store->bytes_on_disk(0), 4 * sizeof(std::uint64_t));
+}
+
+TYPED_TEST(ChunkStoreTest, OutOfRangeDiskThrowsInEveryBuild) {
+  auto store = this->make(2);
+  store->put(make_chunk(0, 1, {1}));
+  for (int disk : {-1, 2, 9}) {
+    SCOPED_TRACE(disk);
+    EXPECT_THROW(store->put(make_chunk(1, disk, {1})), std::out_of_range);
+    EXPECT_THROW(store->get(disk, {0, 0}), std::out_of_range);
+    EXPECT_THROW(store->contains(disk, {0, 0}), std::out_of_range);
+    EXPECT_THROW(store->erase(disk, {0, 0}), std::out_of_range);
+    EXPECT_THROW(store->chunk_count(disk), std::out_of_range);
+    EXPECT_THROW(store->bytes_on_disk(disk), std::out_of_range);
+  }
+  // The rejected calls changed nothing.
+  EXPECT_EQ(store->chunk_count(0) + store->chunk_count(1), 1u);
+  EXPECT_TRUE(store->get(1, {0, 0}).has_value());
 }
 
 TYPED_TEST(ChunkStoreTest, MetadataOnlyChunk) {
@@ -109,20 +136,88 @@ TYPED_TEST(ChunkStoreTest, MetadataOnlyChunk) {
   EXPECT_EQ(store->bytes_on_disk(0), 1u << 20);
 }
 
-TEST(MemoryChunkStore, ConcurrentReadersAndWriters) {
-  MemoryChunkStore store(4);
+/// The version-`v` payload of chunk `i` in the concurrency test: every
+/// word carries (v, i), and the length varies with v, so a read that
+/// mixed two versions (or one version's size with another's bytes)
+/// cannot pass as a complete one.
+Chunk versioned_chunk(std::uint32_t i, int disk, std::uint64_t v) {
+  return make_chunk(i, disk,
+                    std::vector<std::uint64_t>(8 * (v % 3 + 1), (v << 16) | i));
+}
+
+TYPED_TEST(ChunkStoreTest, ConcurrentReadersAndWriters) {
+  // ThreadSanitizer target: per disk, one writer keeps overwriting the
+  // same ids while two readers read them.  Every read must return one
+  // complete version.  Failures are collected and asserted here, on the
+  // main thread.
+  constexpr int kDisks = 4;
+  constexpr std::uint32_t kIds = 8;
+  constexpr std::uint64_t kVersions = 60;
+  constexpr int kReadsEach = 600;
+  auto store = this->make(kDisks);
+  for (int d = 0; d < kDisks; ++d) {
+    for (std::uint32_t i = 0; i < kIds; ++i) store->put(versioned_chunk(i, d, 0));
+  }
+
+  std::mutex failures_mutex;
+  std::vector<std::string> failures;
+  auto fail = [&](std::string what) {
+    std::lock_guard<std::mutex> lock(failures_mutex);
+    failures.push_back(std::move(what));
+  };
+  auto check = [&](const std::optional<Chunk>& c, std::uint32_t i) {
+    if (!c.has_value()) return fail("chunk " + std::to_string(i) + " missing");
+    const auto words = c->template as<std::uint64_t>();
+    if (words.empty() || words.size() % 8 != 0 ||
+        c->meta().bytes != c->payload().size()) {
+      return fail("chunk " + std::to_string(i) + " has a torn size");
+    }
+    const std::uint64_t v = words[0] >> 16;
+    if ((words[0] & 0xffff) != i || words.size() != 8 * (v % 3 + 1)) {
+      return fail("chunk " + std::to_string(i) + " has a foreign header");
+    }
+    for (std::uint64_t w : words) {
+      if (w != words[0]) return fail("chunk " + std::to_string(i) + " mixes versions");
+    }
+  };
+
   std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&store, t]() {
-      for (std::uint32_t i = 0; i < 200; ++i) {
-        store.put(make_chunk(i, t, {i, i + 1}));
-        auto c = store.get(t, {0, i});
-        ASSERT_TRUE(c.has_value());
+  for (int d = 0; d < kDisks; ++d) {
+    threads.emplace_back([&, d]() {
+      try {
+        for (std::uint64_t v = 1; v <= kVersions; ++v) {
+          for (std::uint32_t i = 0; i < kIds; ++i) store->put(versioned_chunk(i, d, v));
+        }
+      } catch (const std::exception& e) {
+        fail(std::string("writer: ") + e.what());
       }
     });
+    for (int r = 0; r < 2; ++r) {
+      threads.emplace_back([&, d, r]() {
+        try {
+          for (int k = 0; k < kReadsEach; ++k) {
+            const std::uint32_t i = static_cast<std::uint32_t>(k * (r + 3)) % kIds;
+            check(store->get(d, {0, i}), i);
+          }
+        } catch (const std::exception& e) {
+          fail(std::string("reader: ") + e.what());
+        }
+      });
+    }
   }
   for (auto& t : threads) t.join();
-  for (int d = 0; d < 4; ++d) EXPECT_EQ(store.chunk_count(d), 200u);
+
+  EXPECT_TRUE(failures.empty()) << failures.size() << " failures, first: "
+                                << (failures.empty() ? "" : failures[0]);
+  for (int d = 0; d < kDisks; ++d) {
+    EXPECT_EQ(store->chunk_count(d), kIds);
+    EXPECT_EQ(store->bytes_on_disk(d), kIds * 8 * (kVersions % 3 + 1) * sizeof(std::uint64_t));
+    for (std::uint32_t i = 0; i < kIds; ++i) {
+      const auto last = store->get(d, {0, i});
+      ASSERT_TRUE(last.has_value());
+      EXPECT_EQ(last->template as<std::uint64_t>()[0], (kVersions << 16) | i);
+    }
+  }
 }
 
 TEST(FileChunkStore, ReopenRestoresContents) {
@@ -167,6 +262,20 @@ TEST(FileChunkStore, ReopenAfterOverwriteKeepsLatest) {
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->as<std::uint64_t>().size(), 3u);
   EXPECT_EQ(c->as<std::uint64_t>()[0], 42u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileChunkStore, ReopenRejectsOutOfRangeEraseDisk) {
+  // Regression: a corrupt manifest's erase line naming a disk outside
+  // the farm used to index past the disk table instead of failing.
+  const auto dir = std::filesystem::temp_directory_path() / "adr_store_bad_erase";
+  std::filesystem::remove_all(dir);
+  {
+    FileChunkStore store(dir, 4);
+    store.put(make_chunk(0, 0, {1}));
+  }
+  std::ofstream(dir / "manifest.txt", std::ios::app) << "erase 9 0 0\n";
+  EXPECT_THROW(FileChunkStore(dir, 4, /*open_existing=*/true), std::runtime_error);
   std::filesystem::remove_all(dir);
 }
 

@@ -1,7 +1,10 @@
 // Shared fixtures for planner/executor tests.
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -9,6 +12,7 @@
 #include "core/planner/mapping.hpp"
 #include "core/planner/plan.hpp"
 #include "core/planner/tiling.hpp"
+#include "storage/disk_store.hpp"
 
 namespace adr::testing {
 
@@ -74,5 +78,56 @@ inline PlannerInput make_planner_input(const GridScenario& s, int nodes,
   in.output_order = tiling_order(s.output_mbrs, s.domain, TilingOrder::kHilbert);
   return in;
 }
+
+/// A ChunkStore decorator that holds every get() of one chunk id until
+/// open() is called, so a test can keep a backing fetch in flight while
+/// it arranges concurrent readers.  Other ids pass straight through.
+class GatedStore : public ChunkStore {
+ public:
+  GatedStore(ChunkStore& backing, ChunkId gated) : backing_(backing), gated_(gated) {}
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  /// Waits until `n` gets of the gated id have reached this store.
+  bool wait_entered(int n, std::chrono::milliseconds timeout = std::chrono::seconds(10)) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, timeout, [&] { return entered_ >= n; });
+  }
+
+  int entered() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return entered_;
+  }
+
+  std::optional<Chunk> get(int disk, ChunkId id) const override {
+    if (id == gated_) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      ++entered_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+    }
+    return backing_.get(disk, id);
+  }
+  void put(Chunk chunk) override { backing_.put(std::move(chunk)); }
+  bool contains(int disk, ChunkId id) const override { return backing_.contains(disk, id); }
+  bool erase(int disk, ChunkId id) override { return backing_.erase(disk, id); }
+  std::size_t chunk_count(int disk) const override { return backing_.chunk_count(disk); }
+  std::uint64_t bytes_on_disk(int disk) const override { return backing_.bytes_on_disk(disk); }
+  int num_disks() const override { return backing_.num_disks(); }
+
+ private:
+  ChunkStore& backing_;
+  const ChunkId gated_;
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  mutable int entered_ = 0;
+  bool open_ = false;
+};
 
 }  // namespace adr::testing
