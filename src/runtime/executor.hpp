@@ -62,6 +62,10 @@ class Executor {
 
   /// Performs `cost_seconds` of computation on `node`'s CPU, then invokes
   /// `done` (which performs the real data work on the thread executor).
+  /// Must be called in `node`'s context.  `done` may run before compute
+  /// returns (the thread executor runs it inline), so a caller must not
+  /// rely on code after the call running first.  barrier() and
+  /// window_sync() never run `done` inline.
   virtual void compute(int node, double cost_seconds, Task done) = 0;
 
   /// Global barrier: `done` fires in `node`'s context once every node has

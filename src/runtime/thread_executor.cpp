@@ -11,6 +11,13 @@
 #include "common/fault.hpp"
 
 namespace adr {
+namespace {
+
+/// The Worker whose thread this is (null off the node threads): lets
+/// compute() check that it is called in its node's context.
+thread_local const void* current_worker = nullptr;
+
+}  // namespace
 
 ThreadExecutor::ThreadExecutor(int num_nodes, int disks_per_node, ChunkStore* store)
     : disks_per_node_(disks_per_node), store_(store) {
@@ -70,6 +77,7 @@ ThreadExecutor::~ThreadExecutor() {
 
 void ThreadExecutor::worker_loop(int node) {
   Worker& w = *workers_[static_cast<size_t>(node)];
+  current_worker = &w;
   for (;;) {
     Task task;
     {
@@ -150,14 +158,16 @@ void ThreadExecutor::set_message_handler(MessageHandler handler) {
 
 void ThreadExecutor::compute(int node, double cost_seconds, Task done) {
   (void)cost_seconds;  // real work costs real time on this executor
-  post(node, [this, done = std::move(done)]() {
-    // Injected per-tile reduction failure: record it (failing the run
-    // after completion) but still run the continuation so the engine's
-    // phase accounting stays balanced.
-    const Status injected = fault::faults().evaluate("runtime.compute");
-    if (!injected.ok()) record_run_error(injected);
-    done();
-  });
+  // Already in node's context (the contract): run the work now instead
+  // of queueing it behind the node's other tasks.
+  assert(current_worker == workers_[static_cast<size_t>(node)].get());
+  (void)node;
+  // Injected per-tile reduction failure: record it (failing the run
+  // after completion) but still run the continuation so the engine's
+  // phase accounting stays balanced.
+  const Status injected = fault::faults().evaluate("runtime.compute");
+  if (!injected.ok()) record_run_error(injected);
+  done();
 }
 
 void ThreadExecutor::barrier(int node, Task done) {

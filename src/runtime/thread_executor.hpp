@@ -7,6 +7,12 @@
 // validate the engine and strategies with real payloads and real
 // aggregation arithmetic.
 //
+// compute() runs its continuation inline on the calling node thread: the
+// engine calls it only from that node's context, and a read's
+// completion runs its aggregation in the same task that read the chunk
+// instead of queueing a second one.  The engine never changes phase
+// inline, because barrier() and window_sync() always post.
+//
 // Lifecycle: the node threads are spawned once in the constructor and
 // live until destruction.  run() may be called repeatedly on the same
 // pool — per-run state (finish count, barrier waiters, sliding-window

@@ -65,31 +65,56 @@ CachingChunkStore::~CachingChunkStore() {
   }
 }
 
+void CachingChunkStore::uncharge_locked(Shard& shard, const Entry& entry) const {
+  shard.bytes -= entry.charged_bytes;
+  cache_metrics().resident_bytes.add(-static_cast<std::int64_t>(entry.charged_bytes));
+  cache_metrics().resident_chunks.add(-1);
+}
+
 void CachingChunkStore::remove_locked(Shard& shard, ChunkId id) const {
   auto it = shard.entries.find(id);
   if (it == shard.entries.end()) return;
-  shard.bytes -= it->second.charged_bytes;
-  cache_metrics().resident_bytes.add(
-      -static_cast<std::int64_t>(it->second.charged_bytes));
-  cache_metrics().resident_chunks.add(-1);
+  uncharge_locked(shard, it->second);
   shard.lru.erase(it->second.lru_pos);
   shard.entries.erase(it);
 }
 
 void CachingChunkStore::install_locked(Shard& shard, const Chunk& chunk) const {
+  const ChunkId id = chunk.meta().id;
   const std::uint64_t cost = charge(chunk);
-  remove_locked(shard, chunk.meta().id);  // refresh: drop any stale copy
-  if (cost > bytes_per_disk_) return;     // larger than the whole budget
+  remove_locked(shard, id);           // refresh: drop any stale copy
+  if (cost > bytes_per_disk_) return;  // larger than the whole budget
+  // The first victim's hash node and LRU node are taken out whole and
+  // re-keyed for the new entry, so a miss that evicts allocates nothing.
+  // Its LRU node waits in `spare` so later victims still come off the
+  // back of the list.
+  Shard::EntryMap::node_type reused;
+  std::list<ChunkId> spare;
   while (shard.bytes + cost > bytes_per_disk_) {
     assert(!shard.lru.empty());
-    remove_locked(shard, shard.lru.back());
+    if (reused.empty()) {
+      reused = shard.entries.extract(shard.lru.back());
+      uncharge_locked(shard, reused.mapped());
+      spare.splice(spare.begin(), shard.lru, reused.mapped().lru_pos);
+    } else {
+      remove_locked(shard, shard.lru.back());
+    }
     ++shard.evictions;
     cache_metrics().evictions.add();
   }
-  shard.lru.push_front(chunk.meta().id);
-  Entry entry{chunk, shard.lru.begin(), cost};
+  if (reused.empty()) {
+    shard.lru.push_front(id);
+    shard.entries.emplace(id, Entry{chunk, shard.lru.begin(), cost});
+  } else {
+    Entry& entry = reused.mapped();
+    entry.chunk = chunk;  // drops the victim's payload
+    entry.charged_bytes = cost;
+    *entry.lru_pos = id;
+    shard.lru.splice(shard.lru.begin(), spare, entry.lru_pos);
+    reused.key() = id;
+    shard.entries.insert(std::move(reused));
+  }
   shard.bytes += cost;
-  shard.entries.emplace(chunk.meta().id, std::move(entry));
   ++shard.insertions;
   cache_metrics().insertions.add();
   cache_metrics().resident_bytes.add(static_cast<std::int64_t>(cost));

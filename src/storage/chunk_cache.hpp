@@ -26,7 +26,9 @@
 // store's internal locks (put and erase hold the shard lock across the
 // backing write so the cache and the backing store change in the same
 // order; a get never holds it across the backing read; the backing store
-// never calls back into the cache).
+// never calls back into the cache).  An eviction drops its payload under
+// the shard lock, which may park a pooled buffer: shard mutex -> payload
+// pool shard (storage/payload_pool.hpp), and the pool never calls back.
 #pragma once
 
 #include <cstdint>
@@ -98,9 +100,10 @@ class CachingChunkStore : public ChunkStore {
     std::uint64_t charged_bytes = 0;
   };
   struct Shard {
+    using EntryMap = std::unordered_map<ChunkId, Entry, ChunkIdHash>;
     mutable std::mutex mutex;
     std::list<ChunkId> lru;  // front = most recently used
-    std::unordered_map<ChunkId, Entry, ChunkIdHash> entries;
+    EntryMap entries;
     FlightTable flights;
     std::uint64_t bytes = 0;
     std::uint64_t hits = 0;
@@ -133,6 +136,8 @@ class CachingChunkStore : public ChunkStore {
   /// it fits.  Caller holds the shard mutex.
   void install_locked(Shard& shard, const Chunk& chunk) const;
   void remove_locked(Shard& shard, ChunkId id) const;
+  /// Takes `entry`'s charge off the shard and the residency gauges.
+  void uncharge_locked(Shard& shard, const Entry& entry) const;
 
   ChunkStore* backing_;
   std::uint64_t bytes_per_disk_;

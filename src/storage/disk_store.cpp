@@ -8,12 +8,14 @@
 #include <cstring>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "common/fault.hpp"
 #include "obs/metrics.hpp"
+#include "storage/payload_pool.hpp"
 
 namespace adr {
 
@@ -200,10 +202,26 @@ void FileChunkStore::append_manifest(const std::string& line) {
 }
 
 void FileChunkStore::replay_manifest() {
-  std::ifstream f(manifest_path_);
-  if (!f) return;  // empty store
+  std::string text;
+  {
+    std::ifstream f(manifest_path_, std::ios::binary);
+    if (!f) return;  // empty store
+    text.assign(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+  }
+  // Every record ends in '\n'.  A last line without one is an append cut
+  // short by a crash: drop it, and cut the file back to the last complete
+  // record, or the next append would be glued onto the torn bytes.
+  const std::size_t last_newline = text.rfind('\n');
+  const std::size_t complete = last_newline == std::string::npos ? 0 : last_newline + 1;
+  if (complete < text.size()) {
+    if (::truncate(manifest_path_.c_str(), static_cast<off_t>(complete)) != 0) {
+      throw io_error("cannot truncate", manifest_path_);
+    }
+    text.resize(complete);
+  }
+  std::istringstream records(text);
   std::string line;
-  while (std::getline(f, line)) {
+  while (std::getline(records, line)) {
     std::istringstream ls(line);
     std::string op;
     ls >> op;
@@ -299,13 +317,18 @@ std::optional<Chunk> FileChunkStore::get(int disk, ChunkId id) const {
     if (it == d.entries.end()) return std::nullopt;
     e = it->second;
   }
-  std::vector<std::byte> payload(e.stored_bytes);
-  if (e.stored_bytes > 0) {
-    pread_exact(d.read_fd.fd, payload.data(), payload.size(), e.offset, d.path);
+  if (e.stored_bytes == 0) {
+    storage_metrics().chunk_reads.add();
+    return Chunk(std::move(e.meta));
   }
+  // A recycled buffer, published only once pread_exact has filled every
+  // byte: a failed read parks it again unseen.
+  PooledPayload payload = acquire_payload(e.stored_bytes);
+  pread_exact(d.read_fd.fd, payload->data(), payload->size(), e.offset, d.path);
   storage_metrics().chunk_reads.add();
-  storage_metrics().bytes_read.add(payload.size());
-  return Chunk(std::move(e.meta), std::move(payload));
+  storage_metrics().bytes_read.add(e.stored_bytes);
+  return Chunk(std::move(e.meta),
+               std::shared_ptr<const Chunk::Buffer>(std::move(payload)));
 }
 
 bool FileChunkStore::contains(int disk, ChunkId id) const {

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -85,14 +84,18 @@ class MemoryChunkStore : public ChunkStore {
 /// tracked in the table with zero stored bytes.  Every put/erase is also
 /// appended to `<dir>/manifest.txt`, so a store can be reopened in a
 /// later process with `open_existing = true` (the manifest is replayed
-/// to rebuild the offset tables).
+/// to rebuild the offset tables).  Every manifest record ends in a
+/// newline; replay drops a last line without one (an append a crash cut
+/// short) and truncates the file back to the last complete record.
 ///
 /// Each disk has its own lock and keeps its data file open for the
 /// store's lifetime: one fd that put() writes through and one read-only
 /// fd that get() reads with pread.  A get holds the disk lock only to
 /// look up (offset, size); the read itself runs outside every lock.
 /// That is safe because data files are append-only and an entry is
-/// published only after its bytes are written.
+/// published only after its bytes are written.  A get reads into a
+/// recycled buffer (storage/payload_pool.hpp) that returns to the pool
+/// when the last Chunk sharing it is dropped.
 class FileChunkStore : public ChunkStore {
  public:
   FileChunkStore(std::filesystem::path dir, int num_disks,
@@ -128,7 +131,7 @@ class FileChunkStore : public ChunkStore {
     std::filesystem::path path;
     OwnedFd write_fd;
     OwnedFd read_fd;
-    std::map<ChunkId, Entry> entries;
+    std::unordered_map<ChunkId, Entry, ChunkIdHash> entries;
     std::uint64_t file_size = 0;
     std::uint64_t live_bytes = 0;
   };

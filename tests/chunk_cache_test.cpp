@@ -7,10 +7,14 @@
 // targets (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <future>
+#include <list>
+#include <random>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -21,6 +25,7 @@
 #include "runtime/executor_pool.hpp"
 #include "storage/chunk_cache.hpp"
 #include "storage/disk_store.hpp"
+#include "storage/payload_pool.hpp"
 #include "test_helpers.hpp"
 
 namespace adr {
@@ -358,6 +363,138 @@ TEST(ChunkCache, HitsShareTheCachedBufferWithoutCopying) {
   EXPECT_EQ(warm->shared_payload(), cold->shared_payload());
   // And the cached buffer is the backing store's own.
   EXPECT_EQ(backing.get(0, {1, 0})->shared_payload(), warm->shared_payload());
+}
+
+/// The cache's LRU policy written the plain way (list + erase + insert):
+/// what a scripted sequence must leave behind, node reuse or not.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::uint64_t budget) : budget_(budget) {}
+
+  bool touch(ChunkId id) {
+    const auto it = find(id);
+    if (it == lru_.end()) return false;
+    lru_.splice(lru_.begin(), lru_, it);
+    return true;
+  }
+  void install(ChunkId id, std::uint64_t cost) {
+    remove(id);
+    if (cost > budget_) return;
+    while (bytes_ + cost > budget_) {
+      bytes_ -= lru_.back().second;
+      lru_.pop_back();
+      ++evictions;
+    }
+    lru_.emplace_front(id, cost);
+    bytes_ += cost;
+    ++insertions;
+  }
+  bool remove(ChunkId id) {
+    const auto it = find(id);
+    if (it == lru_.end()) return false;
+    bytes_ -= it->second;
+    lru_.erase(it);
+    return true;
+  }
+  std::uint64_t bytes() const { return bytes_; }
+  std::size_t size() const { return lru_.size(); }
+
+  std::uint64_t evictions = 0;
+  std::uint64_t insertions = 0;
+
+ private:
+  std::list<std::pair<ChunkId, std::uint64_t>>::iterator find(ChunkId id) {
+    return std::find_if(lru_.begin(), lru_.end(),
+                        [id](const auto& entry) { return entry.first == id; });
+  }
+
+  std::uint64_t budget_;
+  std::uint64_t bytes_ = 0;
+  std::list<std::pair<ChunkId, std::uint64_t>> lru_;  // front = most recent
+};
+
+TEST(ChunkCache, ScriptedSequenceMatchesAReferenceLru) {
+  // Mixed sizes make every eviction's count depend on the exact LRU
+  // order, and the hit/miss of every later get depends on exactly which
+  // ids survived: matching the reference at every step pins the order.
+  constexpr std::uint64_t kBudget = 4000;
+  constexpr std::uint32_t kIds = 40;
+  MemoryChunkStore backing(1);
+  std::mt19937 rng(20261019);
+  const auto size = [&rng]() {
+    return std::uniform_int_distribution<std::size_t>(40, 1200)(rng);
+  };
+  for (std::uint32_t i = 0; i < kIds; ++i) backing.put(make_chunk(1, i, 0, size()));
+  CachingChunkStore cache(backing, kBudget);
+  ReferenceLru model(kBudget);
+  std::uint64_t hits = 0, misses = 0, invalidations = 0;
+
+  for (int step = 0; step < 4000; ++step) {
+    const ChunkId id{1, std::uniform_int_distribution<std::uint32_t>(0, kIds - 1)(rng)};
+    const int op = std::uniform_int_distribution<int>(0, 99)(rng);
+    if (op < 82) {
+      const auto got = cache.get(0, id);
+      if (model.touch(id)) {
+        ++hits;
+      } else {
+        ++misses;
+        if (got.has_value()) model.install(id, got->payload().size() + 64);
+      }
+    } else if (op < 94) {
+      const Chunk chunk = make_chunk(1, id.index, 0, size());
+      cache.put(chunk);
+      if (model.remove(id)) {
+        ++invalidations;
+        model.install(id, chunk.payload().size() + 64);
+      }
+    } else {
+      cache.erase(0, id);
+      if (model.remove(id)) ++invalidations;
+    }
+    const ChunkCacheStats stats = cache.stats();
+    ASSERT_EQ(stats.hits, hits) << "step " << step;
+    ASSERT_EQ(stats.misses, misses) << "step " << step;
+    ASSERT_EQ(stats.evictions, model.evictions) << "step " << step;
+    ASSERT_EQ(stats.insertions, model.insertions) << "step " << step;
+    ASSERT_EQ(stats.invalidations, invalidations) << "step " << step;
+    ASSERT_EQ(stats.resident_bytes, model.bytes()) << "step " << step;
+    ASSERT_EQ(stats.resident_chunks, model.size()) << "step " << step;
+  }
+  EXPECT_GT(model.evictions, 500u);  // the script really exercised eviction
+}
+
+TEST(ChunkCache, HeldChunkSurvivesMoreEvictionsThanThePoolHolds) {
+  // Every get of a file-backed store reads into a recycled buffer, and a
+  // thrashing cache parks one on every eviction.  A chunk still held
+  // must keep its bytes however many buffers cycle through the pool.
+  constexpr std::size_t kBytes = 64 * 1024;
+  constexpr std::uint32_t kIds = 4;
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("adr_cache_held_" + std::to_string(::getpid()));
+  FileChunkStore backing(dir, 1);
+  for (std::uint32_t i = 0; i < kIds; ++i) {
+    backing.put(make_chunk(1, i, 0, kBytes, static_cast<std::byte>(0x10 + i)));
+  }
+  CachingChunkStore cache(backing, /*bytes_per_disk=*/2 * (kBytes + 64));
+  obs::Counter& reused = obs::metrics().counter("storage.payload_buffers_reused");
+  const std::uint64_t reused_before = reused.value();
+
+  const auto held = cache.get(0, {1, 0});
+  ASSERT_TRUE(held.has_value());
+  const std::size_t rounds = 2 * kPayloadPoolBytes / kBytes + 16;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const std::uint32_t index = 1 + static_cast<std::uint32_t>(r % (kIds - 1));
+    const auto c = cache.get(0, {1, index});  // always a miss: the LRU thrashes
+    ASSERT_TRUE(c.has_value());
+    ASSERT_EQ(c->payload().size(), kBytes);
+    ASSERT_EQ(c->payload().front(), static_cast<std::byte>(0x10 + index));
+    ASSERT_EQ(c->payload().back(), static_cast<std::byte>(0x10 + index));
+  }
+  EXPECT_GE(cache.stats().evictions, rounds - 1);
+  EXPECT_GT(reused.value(), reused_before);
+  const std::vector<std::byte> expected(kBytes, std::byte{0x10});
+  EXPECT_EQ(held->payload(), expected);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ChunkCache, OutOfRangeDiskThrows) {

@@ -11,6 +11,11 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
+
+#include "common/fault.hpp"
+#include "common/status.hpp"
+#include "obs/metrics.hpp"
 
 namespace adr {
 namespace {
@@ -276,6 +281,106 @@ TEST(FileChunkStore, ReopenRejectsOutOfRangeEraseDisk) {
   }
   std::ofstream(dir / "manifest.txt", std::ios::app) << "erase 9 0 0\n";
   EXPECT_THROW(FileChunkStore(dir, 4, /*open_existing=*/true), std::runtime_error);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileChunkStore, ReopenAfterTornManifestTailKeepsEveryCompleteRecord) {
+  // Regression: a crash mid-append leaves a last manifest line with no
+  // newline.  Reopen used to throw on it; and had the torn bytes been
+  // kept, the next append would have been glued onto them.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("adr_store_torn_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    FileChunkStore store(dir, 2);
+    for (std::uint32_t i = 0; i < 6; ++i) {
+      store.put(make_chunk(i, static_cast<int>(i % 2), {i, i + 100}));
+    }
+  }
+  std::ofstream(dir / "manifest.txt", std::ios::app) << "put 1 0 9 40";
+  const auto check = [](const FileChunkStore& store, std::uint32_t count) {
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const auto c = store.get(static_cast<int>(i % 2), {0, i});
+      ASSERT_TRUE(c.has_value()) << i;
+      ASSERT_EQ(c->as<std::uint64_t>().size(), 2u);
+      EXPECT_EQ(c->as<std::uint64_t>()[0], i);
+      EXPECT_EQ(c->as<std::uint64_t>()[1], i + 100);
+    }
+  };
+  {
+    FileChunkStore reopened(dir, 2, /*open_existing=*/true);
+    check(reopened, 6);
+    EXPECT_FALSE(reopened.contains(1, {0, 9}));
+    reopened.put(make_chunk(6, 0, {6, 106}));
+  }
+  FileChunkStore again(dir, 2, /*open_existing=*/true);
+  check(again, 7);
+  EXPECT_EQ(again.chunk_count(0), 4u);
+  EXPECT_EQ(again.chunk_count(1), 3u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileChunkStore, WriteToAReadPayloadCopiesFirst) {
+  // A read's buffer comes from the payload pool and may be shared (a
+  // cache entry, a message); writing through a Chunk must never reach it.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("adr_store_cow_" + std::to_string(::getpid()));
+  FileChunkStore store(dir, 1);
+  store.put(make_chunk(0, 0, {7, 8, 9}));
+  auto read = store.get(0, {0, 0});
+  ASSERT_TRUE(read.has_value());
+  const Chunk other = *read;
+  const auto* pooled = read->shared_payload().get();
+  read->as<std::uint64_t>()[0] = 70;
+  EXPECT_NE(read->shared_payload().get(), pooled);
+  EXPECT_EQ(read->as<std::uint64_t>()[0], 70u);
+  EXPECT_EQ(other.as<std::uint64_t>()[0], 7u);
+  EXPECT_EQ(store.get(0, {0, 0})->as<std::uint64_t>()[0], 7u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileChunkStore, FailedReadsNeverExposeTheirBuffer) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("adr_store_failed_read_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const auto counter = [](const char* name) {
+    return obs::metrics().counter(name).value();
+  };
+  std::vector<std::uint64_t> a(37), b(37);
+  for (std::uint64_t i = 0; i < 37; ++i) {
+    a[i] = 1000 + i;
+    b[i] = 2000 + i;
+  }
+  FileChunkStore store(dir, 1);
+  store.put(make_chunk(0, 0, a));
+  store.put(make_chunk(1, 0, b));
+
+  // An injected fetch error fails before any buffer is taken.
+  {
+    fault::ScopedFaultPlan plan(/*seed=*/3);
+    plan.arm("storage.fetch", fault::FaultSpec{});  // fires on every hit
+    const std::uint64_t taken = counter("storage.payload_buffers_reused") +
+                                counter("storage.payload_buffers_allocated");
+    EXPECT_THROW(store.get(0, {0, 1}), StatusError);
+    EXPECT_EQ(counter("storage.payload_buffers_reused") +
+                  counter("storage.payload_buffers_allocated"),
+              taken);
+  }
+
+  // A data file cut short mid-payload: the read fails, and its buffer
+  // goes back to the pool without ever being returned.  The next read
+  // of that size on this thread gets that very buffer, and must see
+  // only its own bytes.
+  std::filesystem::resize_file(dir / "disk0.dat", 2 * 37 * sizeof(std::uint64_t) - 8);
+  EXPECT_THROW(store.get(0, {0, 1}), std::runtime_error);
+  const std::uint64_t reused = counter("storage.payload_buffers_reused");
+  const std::uint64_t allocated = counter("storage.payload_buffers_allocated");
+  const auto c = store.get(0, {0, 0});
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(counter("storage.payload_buffers_reused"), reused + 1);
+  EXPECT_EQ(counter("storage.payload_buffers_allocated"), allocated);
+  const auto words = c->as<std::uint64_t>();
+  EXPECT_EQ(std::vector<std::uint64_t>(words.begin(), words.end()), a);
   std::filesystem::remove_all(dir);
 }
 
