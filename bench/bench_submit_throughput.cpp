@@ -506,10 +506,10 @@ OverloadResult run_overload(const Args& args, const std::filesystem::path& dir) 
                       static_cast<int>(6.0 * (r.deadline_ms / 1000.0) *
                                        target_qps)}));
 
-  adr::QuerySubmissionService service(repo);
-  adr::QuerySubmissionService::GangPolicy no_gangs;
-  no_gangs.enabled = false;  // gangs would raise capacity mid-measurement
-  service.set_gang_policy(no_gangs);
+  adr::RuntimeConfig runtime;
+  runtime.max_pending = 1024;
+  runtime.gang.enabled = false;  // gangs would raise capacity mid-measurement
+  adr::QuerySubmissionService service(repo, runtime);
 
   std::mutex done_mutex;
   std::unordered_map<std::uint64_t, std::chrono::steady_clock::time_point> done_at;

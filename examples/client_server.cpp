@@ -146,7 +146,7 @@ int main() {
 
   std::cout << "\nserver handled " << server.queries_served() << " queries\n";
 
-  // ---- observability endpoint (wire v3) ----
+  // ---- observability endpoint ----
   // The same socket the queries rode serves the metrics snapshot and,
   // because tracing is on, the Chrome trace (Perfetto-loadable).  The
   // adr_stats CLI does exactly this against any live server.

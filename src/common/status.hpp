@@ -5,7 +5,7 @@
 // distinguish a saturated server (retry later) from a malformed query
 // (fix and resubmit) from a planner rejection (pick another strategy)
 // without parsing prose.  Codes are stable wire values (encoded as u16
-// in protocol v4 result frames); append new codes, never renumber.
+// in result frames); append new codes, never renumber.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +43,10 @@ enum class StatusCode : std::uint16_t {
   /// retryable — the deadline is just as expired on the next attempt.
   kDeadlineExceeded = 9,
 };
+
+/// The highest defined code; wire decoders reject anything above it.
+/// Move it when appending a code.
+inline constexpr StatusCode kLastStatusCode = StatusCode::kDeadlineExceeded;
 
 /// Client-side retry classification: kBusy is always retryable (the
 /// server refused before doing work); kIoError and kUnavailable are

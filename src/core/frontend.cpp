@@ -164,24 +164,64 @@ void record_submit_success(QueryResult& result, double elapsed_s) {
   c.thread_cpu.observe(result.cost.thread_cpu_s);
 }
 
-}  // namespace
+// One query's output delivery (paper §2.1: output is returned to the
+// client or stored in ADR).  The engine's write-back switch and sink are
+// set from the query's `delivery` alone, and chunks finalized outside
+// the engine (served marginal partials) go the same way via deliver().
+class OutputRoute {
+ public:
+  OutputRoute(OutputDelivery mode, ChunkStore& store) : mode_(mode), store_(&store) {}
 
-namespace {
-RepositoryConfig merge_runtime(RepositoryConfig config, const RuntimeConfig& runtime) {
-  runtime.check();
-  config.executor_pool_size = runtime.executor_pool_size;
-  return config;
-}
+  bool writes_back() const { return mode_ == OutputDelivery::kWriteBack; }
+
+  /// Points the engine at this route; the route must outlive the run.
+  void configure(ExecOptions& options) {
+    options.write_output = writes_back();
+    options.output_sink = nullptr;
+    if (mode_ == OutputDelivery::kReturnToClient) {
+      options.output_sink = [this](Chunk&& chunk) { deliver(std::move(chunk)); };
+    }
+  }
+
+  /// Thread-safe: engine nodes call it concurrently through the sink.
+  void deliver(Chunk&& chunk) {
+    switch (mode_) {
+      case OutputDelivery::kWriteBack:
+        store_->put(std::move(chunk));
+        break;
+      case OutputDelivery::kReturnToClient: {
+        std::lock_guard<std::mutex> lock(mutex_);
+        returned_.push_back(std::move(chunk));
+        break;
+      }
+      case OutputDelivery::kDiscard:
+        break;
+    }
+  }
+
+  /// The chunks returned to the client, sorted by chunk id.
+  std::vector<Chunk> take_returned() {
+    std::sort(returned_.begin(), returned_.end(),
+              [](const Chunk& a, const Chunk& b) { return a.meta().id < b.meta().id; });
+    return std::move(returned_);
+  }
+
+ private:
+  OutputDelivery mode_;
+  ChunkStore* store_;
+  std::mutex mutex_;
+  std::vector<Chunk> returned_;
+};
+
 }  // namespace
 
 Repository::Repository(const RepositoryConfig& config, const RuntimeConfig& runtime)
-    : Repository(merge_runtime(config, runtime)) {}
-
-Repository::Repository(const RepositoryConfig& config) : config_(config) {
+    : config_(config) {
+  runtime.check();
   if (config_.num_nodes < 1 || config_.disks_per_node < 1) {
     throw std::invalid_argument("Repository: bad machine shape");
   }
-  executor_pool_limit_ = std::max<std::size_t>(1, config_.executor_pool_size);
+  executor_pool_limit_ = runtime.executor_pool_size;
   if (config_.storage_dir.empty()) {
     store_ = std::make_unique<MemoryChunkStore>(config_.total_disks());
   } else {
@@ -533,8 +573,7 @@ Repository::MarginalConsult Repository::consult_marginals_locked(
 
 QueryResult Repository::finalize_from_cache_locked(const Query& query,
                                                    const Prepared& prepared,
-                                                   MarginalConsult& consult,
-                                                   const ExecOptions& exec_options) {
+                                                   MarginalConsult& consult) {
   QueryResult result;
   // No plan ran; report the requested strategy (kAuto never chose one).
   result.strategy =
@@ -543,32 +582,16 @@ QueryResult Repository::finalize_from_cache_locked(const Query& query,
   result.cost.marginal_chunks = consult.hits.size();
   result.cost.marginal_bytes_saved = consult.bytes_saved;
 
-  const OutputDelivery delivery =
-      query.write_output ? query.delivery : OutputDelivery::kDiscard;
-  bool wrote_back = false;
+  OutputRoute route(query.delivery, active_store());
   for (auto& [orig, partial] : consult.hits) {
     const ChunkMeta& meta =
         prepared.output->chunk(consult.original.selected_outputs[orig]);
-    std::vector<std::byte> payload = prepared.op->output(meta, partial);
-    switch (delivery) {
-      case OutputDelivery::kWriteBack:
-        if (exec_options.write_output) {
-          active_store().put(Chunk(meta, std::move(payload)));
-          wrote_back = true;
-        }
-        break;
-      case OutputDelivery::kReturnToClient:
-        result.outputs.emplace_back(meta, std::move(payload));
-        break;
-      case OutputDelivery::kDiscard:
-        break;
-    }
+    route.deliver(Chunk(meta, prepared.op->output(meta, partial)));
   }
-  if (!result.outputs.empty()) {
-    std::sort(result.outputs.begin(), result.outputs.end(),
-              [](const Chunk& a, const Chunk& b) { return a.meta().id < b.meta().id; });
+  result.outputs = route.take_returned();
+  if (route.writes_back() && !consult.hits.empty()) {
+    marginal_cache_->invalidate_data(query.output_dataset);
   }
-  if (wrote_back) marginal_cache_->invalidate_data(query.output_dataset);
   marginal_cache_->note_bytes_saved(consult.bytes_saved);
   return result;
 }
@@ -590,26 +613,8 @@ QueryResult Repository::execute_planned_locked(const Query& query,
     options.comm_cpu_bytes_per_sec = config_.machine.link.cpu_overhead_bytes_per_sec;
   }
 
-  // Output delivery: write back, return to the client, or discard.
-  std::mutex sink_mutex;
-  std::vector<Chunk> delivered;
-  const OutputDelivery delivery =
-      query.write_output ? query.delivery : OutputDelivery::kDiscard;
-  switch (delivery) {
-    case OutputDelivery::kWriteBack:
-      options.write_output = options.write_output && true;
-      break;
-    case OutputDelivery::kReturnToClient:
-      options.write_output = false;
-      options.output_sink = [&sink_mutex, &delivered](Chunk&& chunk) {
-        std::lock_guard<std::mutex> lock(sink_mutex);
-        delivered.push_back(std::move(chunk));
-      };
-      break;
-    case OutputDelivery::kDiscard:
-      options.write_output = false;
-      break;
-  }
+  OutputRoute route(query.delivery, active_store());
+  route.configure(options);
 
   // A written-back output dataset has new payload bytes: partials that
   // aggregated *from* it are stale.  Scope guard, not a tail call — the
@@ -622,8 +627,7 @@ QueryResult Repository::execute_planned_locked(const Query& query,
       if (cache != nullptr) cache->invalidate_data(dataset);
     }
   } write_invalidate;
-  if (marginal_cache_ != nullptr && delivery == OutputDelivery::kWriteBack &&
-      options.write_output) {
+  if (marginal_cache_ != nullptr && route.writes_back()) {
     write_invalidate.cache = marginal_cache_.get();
     write_invalidate.dataset = query.output_dataset;
   }
@@ -727,21 +731,7 @@ QueryResult Repository::execute_planned_locked(const Query& query,
     for (auto& [orig, partial] : marginal->hits) {
       const ChunkMeta& meta =
           prepared.output->chunk(marginal->original.selected_outputs[orig]);
-      std::vector<std::byte> payload = prepared.op->output(meta, partial);
-      switch (delivery) {
-        case OutputDelivery::kWriteBack:
-          if (options.write_output) {
-            active_store().put(Chunk(meta, std::move(payload)));
-          }
-          break;
-        case OutputDelivery::kReturnToClient: {
-          std::lock_guard<std::mutex> lock(sink_mutex);
-          delivered.push_back(Chunk(meta, std::move(payload)));
-          break;
-        }
-        case OutputDelivery::kDiscard:
-          break;
-      }
+      route.deliver(Chunk(meta, prepared.op->output(meta, partial)));
     }
   }
 
@@ -766,11 +756,7 @@ QueryResult Repository::execute_planned_locked(const Query& query,
     }
   }
 
-  if (!delivered.empty()) {
-    std::sort(delivered.begin(), delivered.end(),
-              [](const Chunk& a, const Chunk& b) { return a.meta().id < b.meta().id; });
-    result.outputs = std::move(delivered);
-  }
+  result.outputs = route.take_returned();
   return result;
 }
 
@@ -779,7 +765,7 @@ QueryResult Repository::submit_locked(const Query& query, const ComputeCosts& co
   Prepared prepared = prepare_locked(query, costs);
   MarginalConsult consult = consult_marginals_locked(prepared);
   if (consult.fully_cached) {
-    return finalize_from_cache_locked(query, prepared, consult, exec_options);
+    return finalize_from_cache_locked(query, prepared, consult);
   }
   PlannedQuery planned =
       plan_prepared(prepared, consult.active ? &consult.reduced : nullptr);
@@ -846,8 +832,7 @@ void Repository::run_gang_locked(const std::vector<SubmitRequest>& batch,
         // Served entirely from cached partials: finalize now and keep it
         // out of the gang's shared plan.
         outcomes[i].result =
-            finalize_from_cache_locked(batch[i].query, prepared, consult,
-                                       batch[i].options);
+            finalize_from_cache_locked(batch[i].query, prepared, consult);
         record_submit_success(outcomes[i].result, seconds_since(t0));
         continue;
       }
@@ -992,21 +977,16 @@ void QuerySubmissionService::stop() {
 
 QuerySubmissionService::QuerySubmissionService(Repository& repository,
                                                const RuntimeConfig& runtime)
-    : QuerySubmissionService((runtime.check(), repository), runtime.max_pending) {
-  gang_policy_ = runtime.gang;
-}
-
-void QuerySubmissionService::set_gang_policy(const GangPolicy& policy) {
-  std::lock_guard lock(mutex_);
-  gang_policy_ = policy;
-}
+    : repository_((runtime.check(), &repository)),
+      max_pending_(runtime.max_pending),
+      gang_policy_(runtime.gang) {}
 
 void QuerySubmissionService::set_gang_window(std::chrono::microseconds window) {
   std::lock_guard lock(mutex_);
   gang_policy_.window = window;
 }
 
-QuerySubmissionService::GangPolicy QuerySubmissionService::gang_policy() const {
+GangPolicy QuerySubmissionService::gang_policy() const {
   std::lock_guard lock(mutex_);
   return gang_policy_;
 }

@@ -95,11 +95,9 @@ struct RepositoryConfig {
   /// (pair with load_catalog() to restore the dataset metadata).
   bool open_existing = false;
   /// Thread backend: serve submits from a persistent pool of warm node-
-  /// thread executors instead of spawning num_nodes threads per query.
+  /// thread executors instead of spawning num_nodes threads per query
+  /// (RuntimeConfig::executor_pool_size sets how many stay resident).
   bool reuse_executor = true;
-  /// Warm executors kept resident between submits (extra concurrent
-  /// submits still get fresh executors — acquisition never blocks).
-  std::size_t executor_pool_size = 2;
   /// Per-node byte budget for the cross-query chunk cache wrapped around
   /// the store on the thread backend (split evenly over the node's
   /// disks).  0 disables the cache.  The simulated backend never caches:
@@ -190,13 +188,10 @@ struct SubmitOutcome {
 /// executor is exclusive to its query or gang.
 class Repository {
  public:
-  explicit Repository(const RepositoryConfig& config);
-
-  /// RuntimeConfig overload: `runtime` is validated (throws
-  /// StatusError{kInvalidArgument}) and its executor_pool_size overrides
-  /// the RepositoryConfig field, so one struct carries every dynamic
-  /// knob (see core/runtime_config.hpp).
-  Repository(const RepositoryConfig& config, const RuntimeConfig& runtime);
+  /// `runtime` is validated (throws StatusError{kInvalidArgument});
+  /// Repository takes its executor_pool_size (see
+  /// core/runtime_config.hpp).
+  explicit Repository(const RepositoryConfig& config, const RuntimeConfig& runtime = {});
 
   const RepositoryConfig& config() const { return config_; }
 
@@ -319,8 +314,7 @@ class Repository {
   /// Finalizes a fully-cached query straight from served partials: no
   /// plan, no executor, only op->output per chunk plus delivery.
   QueryResult finalize_from_cache_locked(const Query& query, const Prepared& prepared,
-                                         MarginalConsult& consult,
-                                         const ExecOptions& exec_options);
+                                         MarginalConsult& consult);
   /// Runs the planning service on a prepared query (metrics + trace
   /// spans included); failures become StatusError{kPlanRejected}.
   /// `selection` non-null plans that (possibly reduced) selection
@@ -376,9 +370,10 @@ class Repository {
   /// Lazily-created pool of warm thread executors shared by all submits.
   mutable std::mutex executor_pool_mutex_;
   std::unique_ptr<ThreadExecutorPool> executor_pool_;
-  /// Resident cap for the pool; starts at config_.executor_pool_size and
-  /// moves via set_executor_pool_limit() (guarded by executor_pool_mutex_
-  /// so it never races the pool's lazy construction).
+  /// Resident cap for the pool; starts at the RuntimeConfig's
+  /// executor_pool_size and moves via set_executor_pool_limit() (guarded
+  /// by executor_pool_mutex_ so it never races the pool's lazy
+  /// construction).
   std::size_t executor_pool_limit_ = 0;
 };
 
@@ -419,19 +414,12 @@ class Repository {
 /// stop() drains and joins the workers.
 class QuerySubmissionService {
  public:
-  /// Gang formation policy (now adr::GangPolicy in core/runtime_config.hpp;
-  /// this alias keeps the historical nested name compiling).
-  using GangPolicy = adr::GangPolicy;
-
+  /// Validates `runtime` (throws StatusError{kInvalidArgument}) and
+  /// adopts its max_pending and gang policy.  start() still takes the
+  /// worker count — the server decides when (and whether) to spin the
+  /// pool up.
   explicit QuerySubmissionService(Repository& repository,
-                                  std::size_t max_pending = 1024)
-      : repository_(&repository), max_pending_(max_pending) {}
-
-  /// RuntimeConfig overload: validates `runtime` (throws
-  /// StatusError{kInvalidArgument}) and adopts its max_pending and gang
-  /// policy.  start() still takes the worker count — the server decides
-  /// when (and whether) to spin the pool up.
-  QuerySubmissionService(Repository& repository, const RuntimeConfig& runtime);
+                                  const RuntimeConfig& runtime = {});
   ~QuerySubmissionService();
 
   QuerySubmissionService(const QuerySubmissionService&) = delete;
@@ -443,8 +431,6 @@ class QuerySubmissionService {
   /// Drains accepted work and joins the workers (no-op when not started).
   void stop();
 
-  /// Replaces the gang formation policy (call before start()).
-  void set_gang_policy(const GangPolicy& policy);
   GangPolicy gang_policy() const;
 
   /// Replaces only the formation window, safely while workers run (the

@@ -1,7 +1,7 @@
 // Per-query quality-of-service contract.
 //
 // A Qos rides with a query end-to-end: into ExecOptions, across the
-// socket (wire v6 query frames carry it as deadline-remaining
+// socket (query frames carry it as deadline-remaining
 // milliseconds plus priority and drop flags), through the submission
 // service's queue, and into the client's retry loop.  Three knobs:
 //

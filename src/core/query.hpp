@@ -55,10 +55,9 @@ struct Query {
   std::string aggregation;
   StrategyKind strategy = StrategyKind::kFRA;
   TilingOrder tiling_order = TilingOrder::kHilbert;
+  /// The one switch for where the output goes; Repository sets the
+  /// engine's write-back and sink options from it.
   OutputDelivery delivery = OutputDelivery::kWriteBack;
-  /// Legacy switch: when false, behaves as kDiscard regardless of
-  /// `delivery`.
-  bool write_output = true;
   std::uint64_t seed = 1;  // for kRandom tiling order
 };
 

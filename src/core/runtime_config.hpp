@@ -1,24 +1,20 @@
 // One validated configuration for the serving runtime.
 //
-// The serving tier grew its knobs one PR at a time: the executor pool
-// cap on RepositoryConfig, GangPolicy on QuerySubmissionService,
-// max_pending / worker counts as constructor arguments, TelemetryOptions
-// on AdrServer, and now the adaptive controller's band.  RuntimeConfig
-// consolidates them into a single struct that Repository,
-// QuerySubmissionService and AdrServer all accept, with validate()
-// catching inconsistent settings (empty bands, inverted thresholds)
-// once, up front, instead of as scattered surprises at runtime.
+// Every dynamic knob of the serving tier lives here: the executor pool
+// cap, the scheduler's worker count, max_pending and gang policy, the
+// connection cap, telemetry, and the adaptive controller's band.
+// Repository, QuerySubmissionService and AdrServer each have one
+// constructor and take this struct, with validate() catching
+// inconsistent settings (empty bands, inverted thresholds) once, up
+// front, instead of as scattered surprises at runtime.
 //
 //   adr::RuntimeConfig rt;
 //   rt.executor_pool_size = 4;
 //   rt.adaptive.enabled = true;
 //   rt.adaptive.max_resident = 8;
 //   rt.check();                       // throws kInvalidArgument on nonsense
+//   adr::Repository repo(cfg, rt);
 //   adr::net::AdrServer server(repo, port, costs, rt);
-//
-// AdrServer takes only this form.  Repository and
-// QuerySubmissionService keep their older constructors alongside the
-// RuntimeConfig overloads.
 #pragma once
 
 #include <chrono>
@@ -52,8 +48,7 @@ struct TelemetryOptions {
   int http_port = -1;
 };
 
-/// Every dynamic-runtime knob in one place.  Field defaults reproduce
-/// the historical constructor defaults of the components they feed.
+/// Every dynamic-runtime knob in one place.
 struct RuntimeConfig {
   /// Warm executors kept resident between submits (the adaptive
   /// controller moves the cap inside [adaptive.min_resident,

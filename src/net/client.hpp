@@ -89,7 +89,7 @@ class AdrClient {
   AdrClient(const AdrClient&) = delete;
   AdrClient& operator=(const AdrClient&) = delete;
 
-  /// Sends the query (with its execution options, wire v4) and waits
+  /// Sends the query (with its execution options) and waits
   /// for the result.  With the default single-shot policy: throws
   /// WireError / std::runtime_error on protocol or transport failure; a
   /// server-side query failure comes back as a WireResult whose status
@@ -108,8 +108,8 @@ class AdrClient {
   WireResult submit(const Query& query, const ExecOptions& options = {});
 
   /// Qos-taking overload: `qos` (deadline, priority, drop-on-expiry)
-  /// rides in the query's exec options across the wire (v6 frames carry
-  /// it as deadline-remaining ms) and additionally caps the retry loop —
+  /// rides in the query's exec options across the wire (query frames
+  /// carry it as deadline-remaining ms) and additionally caps the retry loop —
   /// no retry is attempted that could not complete before the deadline,
   /// and kDeadlineExceeded answers are never retried.
   WireResult submit(const Query& query, const Qos& qos,
@@ -142,12 +142,12 @@ class AdrClient {
   /// the socket).
   std::size_t pending() const;
 
-  /// Asks the live server for its observability snapshot (wire v3):
+  /// Asks the live server for its observability snapshot:
   /// metrics_json is the obs registry rendered as JSON; trace_json is
   /// the Chrome trace_event export when `include_trace` is set and the
   /// server has tracing enabled (empty otherwise); history_json is the
   /// telemetry sampler's time-series ring when `include_history` is set
-  /// (wire v5; `history_samples` caps how many trailing samples come
+  /// (`history_samples` caps how many trailing samples come
   /// back, 0 = all).  The connection stays open — queries and stats
   /// requests interleave freely.
   WireStatsReply stats(bool include_trace = false, bool include_history = false,

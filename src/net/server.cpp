@@ -51,7 +51,7 @@ AdrServer::AdrServer(Repository& repository, std::uint16_t port,
                 ? std::make_unique<HttpExpositionServer>(
                       static_cast<std::uint16_t>(runtime.telemetry.http_port))
                 : nullptr),
-      scheduler_(repository, runtime.max_pending),
+      scheduler_(repository, runtime),
       loop_(port,
             FrameLoop::Options{.name = "server",
                                .max_connections = runtime.max_connections,
@@ -61,7 +61,6 @@ AdrServer::AdrServer(Repository& repository, std::uint16_t port,
               return handle_frame(conn, std::move(payload));
             },
             [this]() { return busy_frame(); }) {
-  scheduler_.set_gang_policy(runtime.gang);
   if (runtime.adaptive.enabled) {
     // Seed the pool at the band floor; the controller moves it from there.
     repository_->set_executor_pool_limit(runtime.adaptive.min_resident,

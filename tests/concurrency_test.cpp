@@ -273,7 +273,9 @@ TEST(SubmissionPool, EnqueueAppliesBackPressure) {
   auto gate = std::make_shared<Gate>();
   repo.aggregations().register_op(std::make_shared<GatedCountOp>(gate));
 
-  QuerySubmissionService service(repo, /*max_pending=*/2);
+  RuntimeConfig runtime;
+  runtime.max_pending = 2;
+  QuerySubmissionService service(repo, runtime);
   service.start(1);
 
   Query gated = variant_query(in, out, 0);

@@ -11,6 +11,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -75,7 +76,6 @@ TEST(Wire, QueryRoundTrip) {
   q.strategy = StrategyKind::kSRA;
   q.tiling_order = TilingOrder::kRowMajor;
   q.delivery = OutputDelivery::kReturnToClient;
-  q.write_output = true;
   q.seed = 12345;
 
   const Query back = decode_query_frame(encode_query(q)).query;
@@ -161,14 +161,12 @@ TEST(Wire, ExecOptionsTravelWithQueryFrame) {
   // rate) so the round trip can't pass by accident.
   ExecOptions options;
   options.init_from_output = false;
-  options.write_output = false;
   options.pipeline_tiles = false;
   options.record_trace = true;
   options.comm_cpu_bytes_per_sec = 1.5e9;
   const WireQuery back = decode_query_frame(encode_query(q, options));
   EXPECT_EQ(back.query.input_dataset, 1u);
   EXPECT_FALSE(back.options.init_from_output);
-  EXPECT_FALSE(back.options.write_output);
   EXPECT_FALSE(back.options.pipeline_tiles);
   EXPECT_TRUE(back.options.record_trace);
   EXPECT_DOUBLE_EQ(back.options.comm_cpu_bytes_per_sec, 1.5e9);
@@ -177,78 +175,213 @@ TEST(Wire, ExecOptionsTravelWithQueryFrame) {
   const ExecOptions defaults;
   const WireQuery plain = decode_query_frame(encode_query(q));
   EXPECT_EQ(plain.options.init_from_output, defaults.init_from_output);
-  EXPECT_EQ(plain.options.write_output, defaults.write_output);
   EXPECT_EQ(plain.options.pipeline_tiles, defaults.pipeline_tiles);
   EXPECT_EQ(plain.options.record_trace, defaults.record_trace);
   EXPECT_DOUBLE_EQ(plain.options.comm_cpu_bytes_per_sec,
                    defaults.comm_cpu_bytes_per_sec);
 }
 
-TEST(Wire, V2ResultFrameStillDecodes) {
-  // A v2 peer's result body: same layout as v3 minus the appended
-  // retry-after field.  Decoding must accept it and default the hint.
-  Writer w;
-  w.u8(0x52);  // result tag
-  w.u8(2);     // protocol v2
-  w.u8(1);     // ok
-  w.str("");
-  w.u8(static_cast<std::uint8_t>(StrategyKind::kSRA));
-  w.u32(9);         // tiles
-  w.u64(3);         // ghost_chunks
-  w.u64(77);        // chunk_reads
-  w.f64(1.25);      // total_s
-  w.u64(4096);      // bytes_communicated
-  w.u64(10);        // cache_hits
-  w.u64(2);         // cache_misses
-  w.u32(0);         // outputs
-  const WireResult back = decode_result(w.take());
-  EXPECT_TRUE(back.ok());
-  EXPECT_EQ(back.status.code, StatusCode::kOk);
-  EXPECT_EQ(back.strategy, StrategyKind::kSRA);
-  EXPECT_EQ(back.tiles, 9);
-  EXPECT_EQ(back.cache_hits, 10u);
-  EXPECT_EQ(back.retry_after_ms, 0u);  // v3 field defaults
-}
-
-TEST(Wire, V3ResultFrameInfersStatusCode) {
-  // A v3 peer's failure frame carries only (ok, message); the decoder
-  // must map the well-known busy message to kBusy and anything else to
-  // kInternal.
-  const auto v3_failure = [](const std::string& error) {
-    Writer w;
-    w.u8(0x52);  // result tag
-    w.u8(3);     // protocol v3
-    w.u8(0);     // not ok
-    w.str(error);
-    w.u8(static_cast<std::uint8_t>(StrategyKind::kFRA));
-    w.u32(0);   // tiles
-    w.u64(0);   // ghost_chunks
-    w.u64(0);   // chunk_reads
-    w.f64(0.0); // total_s
-    w.u64(0);   // bytes_communicated
-    w.u64(0);   // cache_hits
-    w.u64(0);   // cache_misses
-    w.u32(500); // retry_after_ms (v3)
-    w.u32(0);   // outputs
-    return decode_result(w.take());
-  };
-  const WireResult busy = v3_failure(kServerBusyError);
-  EXPECT_FALSE(busy.ok());
-  EXPECT_EQ(busy.status.code, StatusCode::kBusy);
-  EXPECT_TRUE(busy.server_busy());
-  EXPECT_EQ(busy.retry_after_ms, 500u);
-
-  const WireResult other = v3_failure("engine exploded");
-  EXPECT_FALSE(other.ok());
-  EXPECT_EQ(other.status.code, StatusCode::kInternal);
-  EXPECT_EQ(other.error(), "engine exploded");
-}
-
 TEST(Wire, UnsupportedVersionRejected) {
+  // Decoders accept exactly the current version: a well-formed frame of
+  // every type, restamped with any older (or a newer) version byte, is
+  // refused.
+  Query q;
+  q.range = Rect::cube(2, 0.0, 1.0);
+  WireStatsRequest history;
+  history.include_history = true;
+  const std::vector<std::byte> frames[] = {
+      encode_query(q), encode_result({}), encode_stats_request(history),
+      encode_stats_reply({})};
+  for (const std::uint8_t version : {1, 2, 3, 4, 5, 6, 8}) {
+    std::vector<std::byte> stamped[4];
+    for (int f = 0; f < 4; ++f) {
+      stamped[f] = frames[f];
+      stamped[f][1] = static_cast<std::byte>(version);
+    }
+    EXPECT_THROW(decode_query_frame(stamped[0]), WireError) << "v" << int(version);
+    EXPECT_THROW(decode_result(stamped[1]), WireError) << "v" << int(version);
+    EXPECT_THROW(decode_stats_request(stamped[2]), WireError) << "v" << int(version);
+    EXPECT_THROW(decode_stats_reply(stamped[3]), WireError) << "v" << int(version);
+  }
+}
+
+TEST(Wire, OutOfRangeEnumBytesAreRejected) {
+  // Query frames end with strategy, tiling order and delivery (u8 each),
+  // seed u64, exec flags u8, comm-CPU rate f64, Qos flags u8, priority
+  // u8 and deadline-remaining u32 (see the layout in net/wire.hpp).
+  Query q;
+  q.range = Rect::cube(2, 0.0, 1.0);
+  q.aggregation = "sum-count-max";
+  const std::vector<std::byte> query = encode_query(q);
+  const std::size_t strategy_at = query.size() - 26;
+  const std::size_t tiling_at = query.size() - 25;
+  const std::size_t delivery_at = query.size() - 24;
+  const std::size_t priority_at = query.size() - 5;
+  const auto patched = [](std::vector<std::byte> frame, std::size_t at, int value) {
+    frame[at] = static_cast<std::byte>(value);
+    return frame;
+  };
+  // The last enumerator of each still decodes...
+  EXPECT_EQ(decode_query_frame(patched(query, strategy_at, 4)).query.strategy,
+            StrategyKind::kAuto);
+  EXPECT_EQ(decode_query_frame(patched(query, tiling_at, 2)).query.tiling_order,
+            TilingOrder::kRandom);
+  EXPECT_EQ(decode_query_frame(patched(query, delivery_at, 2)).query.delivery,
+            OutputDelivery::kDiscard);
+  EXPECT_EQ(decode_query_frame(patched(query, priority_at, 2)).options.qos.priority,
+            QosPriority::kInteractive);
+  // ...and one past it does not.  An unknown strategy would reach the
+  // planner's plan validation and abort the backend; an unknown delivery
+  // would write back and an unknown tiling order would run in identity
+  // order.
+  for (const int value : {5, 9, 255}) {
+    EXPECT_THROW(decode_query_frame(patched(query, strategy_at, value)), WireError);
+  }
+  for (const int value : {3, 9, 255}) {
+    EXPECT_THROW(decode_query_frame(patched(query, tiling_at, value)), WireError);
+    EXPECT_THROW(decode_query_frame(patched(query, delivery_at, value)), WireError);
+    EXPECT_THROW(decode_query_frame(patched(query, priority_at, value)), WireError);
+  }
+
+  // Result frames open with the status code (u16) and the message; with
+  // an empty message the strategy byte follows at offset 8.
+  const std::vector<std::byte> result = encode_result({});
+  EXPECT_EQ(decode_result(patched(result, 8, 4)).strategy, StrategyKind::kAuto);
+  EXPECT_THROW(decode_result(patched(result, 8, 5)), WireError);
+  const int last_code = static_cast<int>(kLastStatusCode);
+  EXPECT_EQ(decode_result(patched(result, 2, last_code)).status.code, kLastStatusCode);
+  EXPECT_THROW(decode_result(patched(result, 2, last_code + 1)), WireError);
+  EXPECT_THROW(decode_result(patched(patched(result, 2, 0), 3, 1)), WireError);  // 256
+}
+
+TEST(Wire, HugeLengthFieldIsRejected) {
+  // A byte-string length near 2^64 must not wrap the bounds check.
   Writer w;
-  w.u8(0x52);
-  w.u8(1);  // v1 predates the cache counters; no longer decodable
-  EXPECT_THROW(decode_result(w.take()), WireError);
+  w.u64(~std::uint64_t{0} - 2);
+  w.u32(0);
+  const std::vector<std::byte> frame = w.take();
+  Reader r(frame);
+  EXPECT_THROW(r.bytes(), WireError);
+}
+
+/// Seeded byte mutations over every frame decoder: a mutated frame must
+/// either throw WireError or decode with every enum in range.  No other
+/// exception, and no abort.
+TEST(Wire, SeededByteMutationsThrowWireErrorOrDecodeInRange) {
+  Query q;
+  q.input_dataset = 3;
+  q.extra_input_datasets = {5, 6};
+  q.output_dataset = 4;
+  q.range = Rect(Point{0.0, 0.0, 0.0}, Point{1.0, 2.0, 3.0});
+  q.map_function = "identity";
+  q.aggregation = "sum-count-max";
+  q.strategy = StrategyKind::kDA;
+  q.delivery = OutputDelivery::kReturnToClient;
+  ExecOptions options;
+  options.qos = Qos::within(std::chrono::milliseconds(500));
+  options.qos.priority = QosPriority::kInteractive;
+
+  WireResult ok_result;
+  ChunkMeta meta;
+  meta.id = {2, 6};
+  meta.bytes = 16;
+  meta.mbr = Rect::cube(2, 0.0, 1.0);
+  ok_result.outputs.emplace_back(meta, std::vector<std::byte>(16, std::byte{0x5a}));
+  WireResult busy;
+  busy.status = Status::make(StatusCode::kBusy, kServerBusyError);
+  busy.retry_after_ms = 250;
+  WireStatsRequest stats_request;
+  stats_request.include_trace = true;
+  stats_request.include_history = true;
+  stats_request.history_samples = 30;
+  WireStatsReply stats_reply;
+  stats_reply.metrics_json = "{\"counters\":{}}";
+  stats_reply.history_json = "[]";
+
+  enum class Kind { kQuery, kResult, kStatsRequest, kStatsReply };
+  const std::vector<std::pair<Kind, std::vector<std::byte>>> seeds = {
+      {Kind::kQuery, encode_query(q, options)},
+      {Kind::kQuery, encode_query(Query{})},
+      {Kind::kResult, encode_result(ok_result)},
+      {Kind::kResult, encode_result(busy)},
+      {Kind::kStatsRequest, encode_stats_request(stats_request)},
+      {Kind::kStatsReply, encode_stats_reply(stats_reply)},
+  };
+
+  const auto in_range = [](auto value, auto last) {
+    return static_cast<int>(value) <= static_cast<int>(last);
+  };
+  // Decodes `frame` as `kind`; false when it decoded with an enum out of
+  // range.  WireError propagates; anything else fails the test.
+  const auto decodes_in_range = [&](Kind kind, const std::vector<std::byte>& frame) {
+    switch (kind) {
+      case Kind::kQuery: {
+        const WireQuery wq = decode_query_frame(frame);
+        return in_range(wq.query.strategy, StrategyKind::kAuto) &&
+               in_range(wq.query.tiling_order, TilingOrder::kRandom) &&
+               in_range(wq.query.delivery, OutputDelivery::kDiscard) &&
+               in_range(wq.options.qos.priority, QosPriority::kInteractive);
+      }
+      case Kind::kResult: {
+        const WireResult r = decode_result(frame);
+        return in_range(r.strategy, StrategyKind::kAuto) &&
+               in_range(r.status.code, kLastStatusCode);
+      }
+      case Kind::kStatsRequest:
+        (void)decode_stats_request(frame);
+        return true;
+      case Kind::kStatsReply:
+        (void)decode_stats_reply(frame);
+        return true;
+    }
+    return true;
+  };
+
+  std::mt19937_64 rng(20261020);
+  constexpr int kMutations = 20000;
+  int rejected = 0, decoded = 0, out_of_range = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    const auto& [kind, seed] = seeds[rng() % seeds.size()];
+    std::vector<std::byte> frame = seed;
+    const int edits = 1 + static_cast<int>(rng() % 3);
+    for (int e = 0; e < edits && !frame.empty(); ++e) {
+      const std::size_t at = rng() % frame.size();
+      switch (rng() % 5) {
+        case 0:  // flip one bit
+          frame[at] ^= static_cast<std::byte>(1u << (rng() % 8));
+          break;
+        case 1:  // overwrite one byte
+          frame[at] = static_cast<std::byte>(rng());
+          break;
+        case 2:  // truncate
+          frame.resize(at);
+          break;
+        case 3:  // insert one byte
+          frame.insert(frame.begin() + static_cast<std::ptrdiff_t>(at),
+                       static_cast<std::byte>(rng()));
+          break;
+        case 4:  // delete one byte
+          frame.erase(frame.begin() + static_cast<std::ptrdiff_t>(at));
+          break;
+      }
+    }
+    try {
+      if (decodes_in_range(kind, frame)) {
+        ++decoded;
+      } else {
+        ++out_of_range;
+      }
+    } catch (const WireError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutation " << i << " threw a non-wire error: " << e.what();
+    }
+  }
+  EXPECT_EQ(out_of_range, 0) << "frames that decoded with an enum out of range";
+  // Both outcomes occur, so the mutations neither all miss the checked
+  // bytes nor all break the framing.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(decoded, 0);
 }
 
 TEST(Wire, StatsFramesRoundTrip) {

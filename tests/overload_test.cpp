@@ -108,7 +108,9 @@ TEST(Overload, ShedsTypedKeepsAdmittedCorrectAndBounded) {
                        std::max(mean_exec_ms, 1e-3) / kClients),
       50, 1000);
 
-  QuerySubmissionService service(repo);
+  RuntimeConfig runtime;
+  runtime.max_pending = 1024;
+  QuerySubmissionService service(repo, runtime);
 
   std::mutex done_mutex;
   std::unordered_map<std::uint64_t, Clock::time_point> done_at;

@@ -123,40 +123,6 @@ TEST(Qos, WireV6RoundTrip) {
   EXPECT_TRUE(plain.options.qos.drop_on_expiry);
 }
 
-/// A pre-Qos peer's query body: v4/v5 layout ends after the exec-options
-/// comm-CPU rate.  Both must decode with the default (no-deadline) Qos.
-std::vector<std::byte> legacy_query_frame(std::uint8_t version) {
-  net::Writer w;
-  w.u8(0x51);  // query tag
-  w.u8(version);
-  w.u32(1);                    // input_dataset
-  w.u32(0);                    // no extra inputs
-  w.u32(2);                    // output_dataset
-  w.rect(Rect::cube(2, 0.0, 1.0));
-  w.str("");                   // map_function
-  w.str("sum-count-max");      // aggregation
-  w.u8(static_cast<std::uint8_t>(StrategyKind::kFRA));
-  w.u8(0);                     // tiling_order
-  w.u8(static_cast<std::uint8_t>(OutputDelivery::kReturnToClient));
-  w.u8(1);                     // write_output
-  w.u64(7);                    // seed
-  w.u8(0);                     // exec-option flags (v4)
-  w.f64(0.0);                  // comm_cpu_bytes_per_sec (v4)
-  return w.take();
-}
-
-TEST(Qos, V4AndV5QueryFramesDecodeWithDefaultQos) {
-  for (const std::uint8_t version : {std::uint8_t{4}, std::uint8_t{5}}) {
-    const net::WireQuery back = net::decode_query_frame(legacy_query_frame(version));
-    EXPECT_EQ(back.query.input_dataset, 1u) << "v" << int(version);
-    EXPECT_EQ(back.query.aggregation, "sum-count-max");
-    EXPECT_EQ(back.query.seed, 7u);
-    EXPECT_FALSE(back.options.qos.has_deadline()) << "v" << int(version);
-    EXPECT_EQ(back.options.qos.priority, QosPriority::kNormal);
-    EXPECT_TRUE(back.options.qos.drop_on_expiry);
-  }
-}
-
 // ---------------------------------------------------------- scheduler
 
 TEST(Qos, SchedulerShedsExpiredDropOnExpiryQueries) {
@@ -204,10 +170,9 @@ TEST(Qos, DispatchPrefersHigherPriorityLaneHeads) {
   Repository repo(thread_config(2));
   const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(4, 1));
   const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
-  QuerySubmissionService service(repo);
-  QuerySubmissionService::GangPolicy no_gangs;
-  no_gangs.enabled = false;
-  service.set_gang_policy(no_gangs);
+  RuntimeConfig no_gangs;
+  no_gangs.gang.enabled = false;
+  QuerySubmissionService service(repo, no_gangs);
 
   std::mutex order_mutex;
   std::vector<std::uint64_t> finish_order;
@@ -344,7 +309,6 @@ TEST(RuntimeConfig, RepositoryAndServiceAdoptKnobs) {
   runtime.gang.window = std::chrono::microseconds{123};
 
   Repository repo(thread_config(2), runtime);
-  EXPECT_EQ(repo.config().executor_pool_size, 3u);
   const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(2, 1));
   const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
 
@@ -360,6 +324,7 @@ TEST(RuntimeConfig, RepositoryAndServiceAdoptKnobs) {
   service.process_all();
   EXPECT_TRUE(service.take(t1).ok());
   EXPECT_TRUE(service.take(t2).ok());
+  EXPECT_EQ(repo.executor_pool_stats().max_resident, 3u);
 
   RuntimeConfig invalid;
   invalid.scheduler_workers = 0;

@@ -1,8 +1,8 @@
 // adr_top: live terminal dashboard for an ADR server.
 //
 // Polls the server's telemetry history over the wire stats endpoint
-// (protocol v5) and repaints a compact dashboard each interval: query
-// throughput, windowed p50/p99 submit latency, scheduler queue depth,
+// and repaints a compact dashboard each interval: query throughput,
+// windowed p50/p99 submit latency, scheduler queue depth,
 // cache hit ratios, active connections — each with a sparkline over the
 // sampler's retained history.  The server must be running its telemetry
 // sampler (AdrServer does by default); until the ring has two samples
