@@ -1,11 +1,13 @@
 // Submit throughput: cold vs warm queries/sec on the thread backend over
-// a file-backed disk farm, ablating the two serving-path optimisations —
-// executor reuse (persistent warm node-thread pools) and the cross-query
-// chunk cache.  Emits BENCH_submit_throughput.json for CI artifacts.
+// a file-backed disk farm, ablating the cross-query chunk cache.  Emits
+// BENCH_submit_throughput.json for CI artifacts.
 //
-// Cold = the first submit against a fresh repository (spawns node
-// threads, reads every chunk from its disk file).  Warm = the average of
-// the following --iters identical submits (warm executor, hot cache).
+// Cold = the first submit against a fresh repository (spawns the node
+// runtime, reads every chunk from its disk file).  Warm = the average of
+// the following --iters identical submits (running node threads, hot
+// cache).  The report ends with runtime.stall_rescues, the helpers the
+// node runtime started for stalled nodes (0 expected: no task here
+// blocks).
 //
 // An overlapping-range section ablates the marginal cache: sliding
 // windows aligned to output-chunk boundaries, marginal cache on vs a
@@ -141,14 +143,12 @@ std::vector<Chunk> make_outputs() {
 
 struct ConfigResult {
   std::string name;
-  bool reuse_executor = false;
   bool cache = false;
   double cold_qps = 0.0;
   double warm_qps = 0.0;
   double warm_p50_ms = 0.0;
   double warm_p99_ms = 0.0;
   std::uint64_t warm_cache_hits = 0;
-  std::uint64_t executors_created = 0;
 };
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
@@ -156,16 +156,14 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-ConfigResult run_config(const Args& args, bool reuse_executor, bool cache,
-                        const std::filesystem::path& dir) {
+ConfigResult run_config(const Args& args, bool cache, const std::filesystem::path& dir) {
   RepositoryConfig cfg;
   cfg.backend = RepositoryConfig::Backend::kThreads;
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
-  cfg.reuse_executor = reuse_executor;
   cfg.chunk_cache_bytes_per_node = cache ? (64ull << 20) : 0;
-  cfg.marginal_cache_bytes = 0;  // this matrix ablates executor + byte cache
+  cfg.marginal_cache_bytes = 0;  // this matrix ablates the byte cache
   Repository repo(cfg);
   const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), make_inputs());
   const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), make_outputs());
@@ -178,10 +176,8 @@ ConfigResult run_config(const Args& args, bool reuse_executor, bool cache,
   query.delivery = adr::OutputDelivery::kReturnToClient;
 
   ConfigResult r;
-  r.reuse_executor = reuse_executor;
   r.cache = cache;
-  r.name = std::string(reuse_executor ? "reuse" : "fresh") + "+" +
-           (cache ? "cache" : "nocache");
+  r.name = cache ? "cache" : "nocache";
 
   auto t0 = std::chrono::steady_clock::now();
   const QueryResult cold = repo.submit(query);
@@ -213,7 +209,6 @@ ConfigResult run_config(const Args& args, bool reuse_executor, bool cache,
   r.warm_p50_ms = lat_snap.p50() * 1000.0;
   r.warm_p99_ms = lat_snap.p99() * 1000.0;
   r.warm_cache_hits = hits;
-  r.executors_created = repo.executor_pool_stats().created;
   return r;
 }
 
@@ -252,7 +247,6 @@ OverlapConfigResult run_overlap_config(const Args& args, bool with_marginal,
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
-  cfg.reuse_executor = true;
   cfg.chunk_cache_bytes_per_node = 128ull << 10;
   cfg.marginal_cache_bytes = with_marginal ? (32ull << 20) : 0;
   Repository repo(cfg);
@@ -339,7 +333,6 @@ BatchedResult run_batched(const Args& args, const std::filesystem::path& dir) {
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
-  cfg.reuse_executor = true;
   cfg.chunk_cache_bytes_per_node = 0;  // isolate batch sharing from the caches
   cfg.marginal_cache_bytes = 0;
   Repository repo(cfg);
@@ -410,7 +403,6 @@ TelemetryOverheadResult run_telemetry_overhead(const Args& args,
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
-  cfg.reuse_executor = true;
   cfg.chunk_cache_bytes_per_node = 64ull << 20;
   cfg.marginal_cache_bytes = 0;  // every warm pass does the same real work
   Repository repo(cfg);
@@ -424,7 +416,7 @@ TelemetryOverheadResult run_telemetry_overhead(const Args& args,
   query.aggregation = "sum-count-max";
   query.delivery = adr::OutputDelivery::kReturnToClient;
 
-  (void)repo.submit(query);  // warm the executor pool and the byte cache
+  (void)repo.submit(query);  // start the node runtime and warm the byte cache
 
   const auto pass_qps = [&]() {
     const auto t0 = std::chrono::steady_clock::now();
@@ -472,7 +464,6 @@ OverloadResult run_overload(const Args& args, const std::filesystem::path& dir) 
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
-  cfg.reuse_executor = true;
   cfg.chunk_cache_bytes_per_node = 64ull << 20;
   cfg.marginal_cache_bytes = 0;  // every query does the same real work
   Repository repo(cfg);
@@ -486,7 +477,7 @@ OverloadResult run_overload(const Args& args, const std::filesystem::path& dir) 
   query.aggregation = "sum-count-max";
   query.delivery = adr::OutputDelivery::kReturnToClient;
 
-  (void)repo.submit(query);  // warm the executor pool and the byte cache
+  (void)repo.submit(query);  // start the node runtime and warm the byte cache
   auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < args.iters; ++i) (void)repo.submit(query);
   OverloadResult r;
@@ -637,7 +628,6 @@ void write_trace_sample(const Args& args, const std::filesystem::path& dir) {
   cfg.num_nodes = args.nodes;
   cfg.memory_per_node = 4ull << 20;
   cfg.storage_dir = dir;
-  cfg.reuse_executor = true;
   cfg.chunk_cache_bytes_per_node = 64ull << 20;
   Repository repo(cfg);
   const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), make_inputs());
@@ -683,12 +673,10 @@ int main(int argc, char** argv) {
 
   std::vector<ConfigResult> results;
   int k = 0;
-  for (const bool reuse : {false, true}) {
-    for (const bool cache : {false, true}) {
-      const auto dir = base / ("cfg" + std::to_string(k++));
-      std::filesystem::create_directories(dir);
-      results.push_back(run_config(args, reuse, cache, dir));
-    }
+  for (const bool cache : {false, true}) {
+    const auto dir = base / ("cfg" + std::to_string(k++));
+    std::filesystem::create_directories(dir);
+    results.push_back(run_config(args, cache, dir));
   }
   BatchedResult batched;
   {
@@ -711,13 +699,12 @@ int main(int argc, char** argv) {
   std::filesystem::remove_all(base);
 
   adr::Table table({"config", "cold qps", "warm qps", "warm/cold", "p50 ms",
-                    "p99 ms", "cache hits", "executors built"});
+                    "p99 ms", "cache hits"});
   for (const auto& r : results) {
     table.add_row({r.name, adr::fmt(r.cold_qps, 2), adr::fmt(r.warm_qps, 2),
                    adr::fmt(r.warm_qps / r.cold_qps, 2),
                    adr::fmt(r.warm_p50_ms, 2), adr::fmt(r.warm_p99_ms, 2),
-                   std::to_string(r.warm_cache_hits),
-                   std::to_string(r.executors_created)});
+                   std::to_string(r.warm_cache_hits)});
   }
   std::cout << "submit throughput (" << args.iters << " warm iters, "
             << args.nodes << " nodes, file-backed store)\n";
@@ -755,6 +742,9 @@ int main(int argc, char** argv) {
             << adr::fmt(telemetry.baseline_qps, 2) << " qps, sampler on "
             << adr::fmt(telemetry.telemetry_qps, 2) << " qps ("
             << adr::fmt(telemetry.ratio * 100.0, 1) << "% of baseline)\n";
+  const std::uint64_t stall_rescues =
+      adr::obs::metrics().counter("runtime.stall_rescues").value();
+  std::cout << "runtime.stall_rescues: " << stall_rescues << "\n";
 
   std::ofstream json(args.out_path);
   json << "{\n  \"bench\": \"submit_throughput\",\n"
@@ -765,15 +755,12 @@ int main(int argc, char** argv) {
        << "  \"configs\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    json << "    {\"name\": \"" << r.name << "\", \"reuse_executor\": "
-         << (r.reuse_executor ? "true" : "false")
-         << ", \"cache\": " << (r.cache ? "true" : "false")
+    json << "    {\"name\": \"" << r.name << "\", \"cache\": " << (r.cache ? "true" : "false")
          << ", \"cold_qps\": " << r.cold_qps << ", \"warm_qps\": " << r.warm_qps
          << ", \"warm_over_cold\": " << r.warm_qps / r.cold_qps
          << ", \"warm_p50_ms\": " << r.warm_p50_ms
          << ", \"warm_p99_ms\": " << r.warm_p99_ms
-         << ", \"warm_cache_hits\": " << r.warm_cache_hits
-         << ", \"executors_created\": " << r.executors_created << "}"
+         << ", \"warm_cache_hits\": " << r.warm_cache_hits << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";
   }
   json << "  ],\n  \"batched\": {\"queries\": " << batched.queries
@@ -807,7 +794,8 @@ int main(int argc, char** argv) {
   overlap_json("baseline", overlap.baseline);
   json << "\n  },\n  \"telemetry_overhead\": {\"baseline_qps\": "
        << telemetry.baseline_qps << ", \"telemetry_qps\": " << telemetry.telemetry_qps
-       << ", \"ratio\": " << telemetry.ratio << "}\n}\n";
+       << ", \"ratio\": " << telemetry.ratio << "},\n"
+       << "  \"stall_rescues\": " << stall_rescues << "\n}\n";
   std::cout << "wrote " << args.out_path << "\n";
 
   // The acceptance bar: with both optimisations on, warm throughput must

@@ -77,7 +77,7 @@ struct ExecStats {
   double phase_oh_s = 0.0;
   /// End-to-end query execution time (executor clock).
   double total_s = 0.0;
-  /// Summed node-thread CPU seconds for the run (thread backend; 0 on
+  /// Node-runtime CPU seconds billed to the run (thread backend; 0 on
   /// the simulator).  total_s is wall time — the gap between them is
   /// I/O and synchronization wait.
   double thread_cpu_s = 0.0;

@@ -221,7 +221,6 @@ Repository::Repository(const RepositoryConfig& config, const RuntimeConfig& runt
   if (config_.num_nodes < 1 || config_.disks_per_node < 1) {
     throw std::invalid_argument("Repository: bad machine shape");
   }
-  executor_pool_limit_ = runtime.executor_pool_size;
   if (config_.storage_dir.empty()) {
     store_ = std::make_unique<MemoryChunkStore>(config_.total_disks());
   } else {
@@ -263,36 +262,17 @@ MarginalCacheStats Repository::marginal_cache_stats() const {
   return marginal_cache_ ? marginal_cache_->stats() : MarginalCacheStats{};
 }
 
-ThreadExecutorPool& Repository::thread_pool() {
-  std::lock_guard lock(executor_pool_mutex_);
-  if (executor_pool_ == nullptr) {
-    executor_pool_ = std::make_unique<ThreadExecutorPool>(
-        config_.num_nodes, config_.disks_per_node, &active_store(),
-        executor_pool_limit_);
+NodeRuntime& Repository::node_runtime() {
+  std::lock_guard lock(node_runtime_mutex_);
+  if (node_runtime_ == nullptr) {
+    node_runtime_ = std::make_unique<NodeRuntime>(config_.num_nodes);
   }
-  return *executor_pool_;
+  return *node_runtime_;
 }
 
-ThreadExecutorPool::Stats Repository::executor_pool_stats() const {
-  std::lock_guard lock(executor_pool_mutex_);
-  return executor_pool_ ? executor_pool_->stats() : ThreadExecutorPool::Stats{};
-}
-
-void Repository::set_executor_pool_limit(std::size_t limit, bool warm) {
-  if (limit < 1) limit = 1;
-  ThreadExecutorPool* pool = nullptr;
-  {
-    std::lock_guard lock(executor_pool_mutex_);
-    executor_pool_limit_ = limit;
-    pool = executor_pool_.get();
-  }
-  // Pool calls happen outside executor_pool_mutex_: set_max_resident may
-  // join executor threads and prewarm spawns them — neither belongs
-  // under the lock concurrent submits take for every lease.
-  if (pool != nullptr) {
-    pool->set_max_resident(limit);
-    if (warm) pool->prewarm(limit);
-  }
+Repository::ExecutorPoolStats Repository::executor_pool_stats() const {
+  std::lock_guard lock(node_runtime_mutex_);
+  return ExecutorPoolStats{node_runtime_ != nullptr ? 1u : 0u};
 }
 
 std::uint32_t Repository::create_dataset(const std::string& name, const Rect& domain,
@@ -679,15 +659,8 @@ QueryResult Repository::execute_planned_locked(const Query& query,
       result.stats = execute_query(*gang_executor, planned, prepared.all_inputs,
                                    *prepared.output, prepared.op, costs,
                                    config_.disks_per_node, options);
-    } else if (config_.reuse_executor) {
-      // Exclusive lease on a warm executor; released (kept resident)
-      // when the lease leaves scope.
-      ThreadExecutorPool::Lease lease = thread_pool().acquire();
-      result.stats = execute_query(*lease, planned, prepared.all_inputs, *prepared.output,
-                                   prepared.op, costs, config_.disks_per_node, options);
     } else {
-      ThreadExecutor executor(config_.num_nodes, config_.disks_per_node,
-                              &active_store());
+      ThreadExecutor executor(node_runtime(), config_.disks_per_node, &active_store());
       result.stats = execute_query(executor, planned, prepared.all_inputs, *prepared.output,
                                    prepared.op, costs, config_.disks_per_node, options);
     }
@@ -875,41 +848,23 @@ void Repository::run_gang_locked(const std::vector<SubmitRequest>& batch,
   // to the shared-scan buffer: a chunk several members need is fetched
   // from the farm once and stays resident between its first and last
   // reader.  Per-member results are attributed individually.
-  auto execute_members = [&](Executor& exec) {
-    for (Member& m : members) {
-      const SharedScanStats before = scan.stats();
-      try {
-        QueryResult r = execute_planned_locked(
-            batch[m.index].query, m.prepared, std::move(m.planned),
-            batch[m.index].costs, batch[m.index].options, &exec,
-            m.consult.active ? &m.consult : nullptr);
-        const SharedScanStats after = scan.stats();
-        r.gang_size = static_cast<std::uint32_t>(members.size());
-        r.gang_shared_hits = after.shared_hits - before.shared_hits;
-        r.gang_cold_reads = after.cold_fetches - before.cold_fetches;
-        record_submit_success(r, seconds_since(m.t0));
-        outcomes[m.index].result = std::move(r);
-      } catch (const std::exception& e) {
-        submit_metrics().errors.add();
-        outcomes[m.index].status = status_from_exception(e);
-      }
+  ThreadExecutor executor(node_runtime(), config_.disks_per_node, &scan);
+  for (Member& m : members) {
+    const SharedScanStats before = scan.stats();
+    try {
+      QueryResult r = execute_planned_locked(
+          batch[m.index].query, m.prepared, std::move(m.planned), batch[m.index].costs,
+          batch[m.index].options, &executor, m.consult.active ? &m.consult : nullptr);
+      const SharedScanStats after = scan.stats();
+      r.gang_size = static_cast<std::uint32_t>(members.size());
+      r.gang_shared_hits = after.shared_hits - before.shared_hits;
+      r.gang_cold_reads = after.cold_fetches - before.cold_fetches;
+      record_submit_success(r, seconds_since(m.t0));
+      outcomes[m.index].result = std::move(r);
+    } catch (const std::exception& e) {
+      submit_metrics().errors.add();
+      outcomes[m.index].status = status_from_exception(e);
     }
-  };
-
-  if (config_.reuse_executor) {
-    ThreadExecutorPool::Lease lease = thread_pool().acquire();
-    // Point the warm executor at the gang's scan buffer for the gang's
-    // lifetime; restore the farm before the lease returns to the pool.
-    struct StoreRestore {
-      ThreadExecutor* exec;
-      ChunkStore* farm;
-      ~StoreRestore() { exec->set_store(farm); }
-    } restore{&*lease, lease->store()};
-    lease->set_store(&scan);
-    execute_members(*lease);
-  } else {
-    ThreadExecutor executor(config_.num_nodes, config_.disks_per_node, &scan);
-    execute_members(executor);
   }
 
   const SharedScanStats final_stats = scan.stats();

@@ -58,7 +58,7 @@
 #include "core/planner/planner.hpp"
 #include "core/query.hpp"
 #include "obs/query_cost.hpp"
-#include "runtime/executor_pool.hpp"
+#include "runtime/node_runtime.hpp"
 #include "sim/cluster.hpp"
 #include "storage/chunk_cache.hpp"
 #include "storage/dataset.hpp"
@@ -94,10 +94,6 @@ struct RepositoryConfig {
   /// Reattach to an existing file-backed farm instead of truncating it
   /// (pair with load_catalog() to restore the dataset metadata).
   bool open_existing = false;
-  /// Thread backend: serve submits from a persistent pool of warm node-
-  /// thread executors instead of spawning num_nodes threads per query
-  /// (RuntimeConfig::executor_pool_size sets how many stay resident).
-  bool reuse_executor = true;
   /// Per-node byte budget for the cross-query chunk cache wrapped around
   /// the store on the thread backend (split evenly over the node's
   /// disks).  0 disables the cache.  The simulated backend never caches:
@@ -175,21 +171,21 @@ struct SubmitOutcome {
 /// submit() and the other readers hold it shared for their whole run, so
 /// a dataset can never be replaced or destroyed mid-query; create_dataset()
 /// and load_catalog() take it exclusive.  The chunk store / chunk cache
-/// and the executor pool have their own internal locks.  Locking order
+/// and the node runtime have their own internal locks.  Locking order
 /// (never acquire in the other direction):
 ///
-///   catalog_mutex_  ->  executor pool mutex  ->  chunk cache shard mutex
+///   catalog_mutex_  ->  node runtime mutex  ->  chunk cache shard mutex
 ///                   ->  ChunkStore internal mutex  ->  executor internals
 ///                   ->  marginal cache version/shard mutexes (leaf)
 ///
 /// Registries (attribute spaces, aggregations, indices) are expected to be
 /// populated before concurrent serving starts; lookups are read-only.
-/// Per-query planner/executor state is entirely stack-local; the leased
-/// executor is exclusive to its query or gang.
+/// Per-query planner/executor state is entirely stack-local: each submit
+/// and each gang runs on its own stack-allocated ThreadExecutor context
+/// over the repository's one NodeRuntime.
 class Repository {
  public:
-  /// `runtime` is validated (throws StatusError{kInvalidArgument});
-  /// Repository takes its executor_pool_size (see
+  /// `runtime` is validated (throws StatusError{kInvalidArgument}; see
   /// core/runtime_config.hpp).
   explicit Repository(const RepositoryConfig& config, const RuntimeConfig& runtime = {});
 
@@ -212,16 +208,14 @@ class Repository {
   /// Marginal-cache counters so far (zeros when disabled).
   MarginalCacheStats marginal_cache_stats() const;
 
-  /// Executor-pool counters so far (zeros before the first thread-backend
-  /// submit or when reuse_executor is off).
-  ThreadExecutorPool::Stats executor_pool_stats() const;
-
-  /// Moves the executor pool's resident cap at runtime (the adaptive
-  /// controller's scale actuator; clamped to >= 1).  `warm` additionally
-  /// constructs idle executors up to the new cap so the next burst does
-  /// not pay thread-spawn latency.  Takes effect immediately on a live
-  /// pool and seeds the lazily-created one otherwise.
-  void set_executor_pool_limit(std::size_t limit, bool warm = false);
+  /// Benchmark-only accessor: perfbench's executor_pool.fresh_per_query
+  /// divides the growth of `created` by the queries run.  `created`
+  /// counts node-thread sets spawned: 0 before the first thread-backend
+  /// run, then 1 (the NodeRuntime).
+  struct ExecutorPoolStats {
+    std::uint64_t created = 0;
+  };
+  ExecutorPoolStats executor_pool_stats() const;
 
   /// Loads a dataset (paper's four-step load) and returns its id.
   std::uint32_t create_dataset(const std::string& name, const Rect& domain,
@@ -323,7 +317,7 @@ class Repository {
                              QuerySelection* selection = nullptr) const;
   /// Executes a planned query.  `gang_executor` non-null routes
   /// execution through the gang's shared executor (batch path) instead
-  /// of the pool; per-query attribution is unchanged.  `marginal`
+  /// of a context of its own; per-query attribution is unchanged.  `marginal`
   /// non-null (and active) merges served partials into the delivery,
   /// publishes the executed chunks' partials on success, and fills the
   /// marginal_hits/marginal_misses attribution.
@@ -347,8 +341,8 @@ class Repository {
     if (invalidating_store_ != nullptr) return *invalidating_store_;
     return cache_ ? static_cast<const ChunkStore&>(*cache_) : *store_;
   }
-  /// Lazily creates the shared executor pool (thread backend only).
-  ThreadExecutorPool& thread_pool();
+  /// Lazily creates the shared node runtime (thread backend only).
+  NodeRuntime& node_runtime();
 
   RepositoryConfig config_;
   std::unique_ptr<ChunkStore> store_;
@@ -367,14 +361,9 @@ class Repository {
   mutable FairSharedMutex catalog_mutex_;
   std::map<std::uint32_t, Dataset> datasets_;
   std::uint32_t next_dataset_id_ = 0;
-  /// Lazily-created pool of warm thread executors shared by all submits.
-  mutable std::mutex executor_pool_mutex_;
-  std::unique_ptr<ThreadExecutorPool> executor_pool_;
-  /// Resident cap for the pool; starts at the RuntimeConfig's
-  /// executor_pool_size and moves via set_executor_pool_limit() (guarded
-  /// by executor_pool_mutex_ so it never races the pool's lazy
-  /// construction).
-  std::size_t executor_pool_limit_ = 0;
+  /// Node threads shared by every thread-backend run, built on first use.
+  mutable std::mutex node_runtime_mutex_;
+  std::unique_ptr<NodeRuntime> node_runtime_;
 };
 
 /// Query submission service (paper Fig. 2): clients enqueue queries

@@ -1,17 +1,17 @@
 // One validated configuration for the serving runtime.
 //
-// Every dynamic knob of the serving tier lives here: the executor pool
-// cap, the scheduler's worker count, max_pending and gang policy, the
-// connection cap, telemetry, and the adaptive controller's band.
-// Repository, QuerySubmissionService and AdrServer each have one
-// constructor and take this struct, with validate() catching
-// inconsistent settings (empty bands, inverted thresholds) once, up
-// front, instead of as scattered surprises at runtime.
+// Every dynamic knob of the serving tier lives here: the scheduler's
+// worker count, max_pending and gang policy, the connection cap,
+// telemetry, and the adaptive controller's gang-window policy.  The
+// node threads are not a knob: each Repository runs one per node (see
+// runtime/node_runtime.hpp).  Repository, QuerySubmissionService and
+// AdrServer each have one constructor and take this struct, with
+// validate() catching inconsistent settings (inverted thresholds, zero
+// caps) once, up front, instead of as scattered surprises at runtime.
 //
 //   adr::RuntimeConfig rt;
-//   rt.executor_pool_size = 4;
+//   rt.scheduler_workers = 4;
 //   rt.adaptive.enabled = true;
-//   rt.adaptive.max_resident = 8;
 //   rt.check();                       // throws kInvalidArgument on nonsense
 //   adr::Repository repo(cfg, rt);
 //   adr::net::AdrServer server(repo, port, costs, rt);
@@ -50,10 +50,6 @@ struct TelemetryOptions {
 
 /// Every dynamic-runtime knob in one place.
 struct RuntimeConfig {
-  /// Warm executors kept resident between submits (the adaptive
-  /// controller moves the cap inside [adaptive.min_resident,
-  /// adaptive.max_resident] when enabled; this is the starting value).
-  std::size_t executor_pool_size = 2;
   /// Scheduler worker threads run by QuerySubmissionService/AdrServer.
   std::size_t scheduler_workers = 4;
   /// Accepted-but-unfinished query cap before enqueue blocks (or

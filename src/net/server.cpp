@@ -62,14 +62,7 @@ AdrServer::AdrServer(Repository& repository, std::uint16_t port,
             },
             [this]() { return busy_frame(); }) {
   if (runtime.adaptive.enabled) {
-    // Seed the pool at the band floor; the controller moves it from there.
-    repository_->set_executor_pool_limit(runtime.adaptive.min_resident,
-                                         runtime.adaptive.prewarm);
     AdaptiveController::Actuators act;
-    const bool warm = runtime.adaptive.prewarm;
-    act.set_resident = [this, warm](std::size_t n) {
-      repository_->set_executor_pool_limit(n, warm);
-    };
     act.set_gang_window = [this](std::chrono::microseconds w) {
       scheduler_.set_gang_window(w);
     };

@@ -48,11 +48,10 @@ class AdrServer {
   /// are the compute charges applied to every submitted query.
   /// `runtime` is validated here (throws StatusError{kInvalidArgument})
   /// and carries the connection cap, scheduler shape, gang policy,
-  /// telemetry knobs and the adaptive controller's band
+  /// telemetry knobs and the adaptive controller's policy
   /// (core/runtime_config.hpp).  With runtime.adaptive.enabled the
-  /// server owns an AdaptiveController that moves the repository's
-  /// executor-pool cap and the scheduler's gang window from live sampler
-  /// signals for the server's lifetime.
+  /// server owns an AdaptiveController that moves the scheduler's gang
+  /// window from live sampler signals for the server's lifetime.
   AdrServer(Repository& repository, std::uint16_t port, const ComputeCosts& costs = {},
             const RuntimeConfig& runtime = {});
   ~AdrServer();
@@ -126,7 +125,7 @@ class AdrServer {
   /// Routes every query; bounded by scheduler slots, shared by all
   /// connections.
   QuerySubmissionService scheduler_;
-  /// Feedback controller over the executor pool + gang window; non-null
+  /// Feedback controller over the gang window; non-null
   /// only with runtime.adaptive.enabled.
   std::unique_ptr<AdaptiveController> adaptive_;
   FrameLoop loop_;

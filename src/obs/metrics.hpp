@@ -1,7 +1,7 @@
 // Process-wide metrics registry for the serving runtime.
 //
 // The paper's evaluation is built on measured per-phase breakdowns; the
-// serving stack grown around the reproduction (scheduler, executor pool,
+// serving stack grown around the reproduction (scheduler, node runtime,
 // chunk cache, socket server) needs the same visibility *at runtime*.
 // Three instrument kinds:
 //

@@ -39,8 +39,8 @@ struct QueryCostLedger {
   std::uint64_t aggregate_pairs = 0;
   /// Scheduler queue wait (0 for direct Repository::submit calls).
   double queue_wait_s = 0.0;
-  /// Executor wall time (== stats.total_s) and the node threads' summed
-  /// CPU time for the run (thread backend; 0 on the simulator).
+  /// Executor wall time (== stats.total_s) and the node-runtime CPU time
+  /// billed to the run (thread backend; 0 on the simulator).
   double exec_wall_s = 0.0;
   double thread_cpu_s = 0.0;
   /// Gang this query executed in (1 = alone).

@@ -1,7 +1,5 @@
 #include "runtime/adaptive/controller.hpp"
 
-#include <algorithm>
-
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 
@@ -12,21 +10,15 @@ namespace {
 /// adaptive.* instruments, resolved once (registry lookups are mutexed).
 struct AdaptiveMetrics {
   obs::Counter& ticks;
-  obs::Counter& scale_ups;
-  obs::Counter& scale_downs;
   obs::Counter& window_opens;
   obs::Counter& window_closes;
-  obs::Gauge& resident_target;
   obs::Gauge& gang_window_us;
 };
 
 AdaptiveMetrics& adaptive_metrics() {
   static AdaptiveMetrics m{obs::metrics().counter("adaptive.ticks"),
-                           obs::metrics().counter("adaptive.scale_ups"),
-                           obs::metrics().counter("adaptive.scale_downs"),
                            obs::metrics().counter("adaptive.window_opens"),
                            obs::metrics().counter("adaptive.window_closes"),
-                           obs::metrics().gauge("adaptive.resident_target"),
                            obs::metrics().gauge("adaptive.gang_window_us")};
   return m;
 }
@@ -44,10 +36,7 @@ double counter_rate_for(const obs::TelemetrySample& prev,
 
 AdaptiveController::AdaptiveController(const AdaptiveOptions& options,
                                        Actuators actuators)
-    : options_(options), actuators_(std::move(actuators)) {
-  resident_ = std::clamp<std::size_t>(options_.min_resident, 1,
-                                      std::max<std::size_t>(options_.max_resident, 1));
-}
+    : options_(options), actuators_(std::move(actuators)) {}
 
 AdaptiveController::~AdaptiveController() { stop(); }
 
@@ -57,12 +46,10 @@ void AdaptiveController::start() {
     if (thread_running_) return;
     thread_running_ = true;
   }
-  // Establish the starting point before any load arrives: band floor,
-  // window closed.
+  // Establish the starting point before any load arrives: window closed.
   AdaptiveDecision d;
   {
     std::lock_guard<std::mutex> lk(mutex_);
-    d.resident = resident_;
     d.gang_window = window_open_ ? options_.gang_window
                                  : std::chrono::microseconds{0};
   }
@@ -83,44 +70,6 @@ void AdaptiveController::stop() {
 AdaptiveDecision AdaptiveController::step(const AdaptiveSignals& signals) {
   std::lock_guard<std::mutex> lk(mutex_);
   AdaptiveDecision d;
-  const auto lo = std::max<std::size_t>(options_.min_resident, 1);
-  const auto hi = std::max<std::size_t>(options_.max_resident, lo);
-  resident_ = std::clamp(resident_, lo, hi);
-
-  // --- Resident-executor band -------------------------------------------
-  const double r = static_cast<double>(resident_);
-  const bool pressured =
-      signals.queue_depth >= options_.depth_high_per_executor * r ||
-      signals.queue_wait_s_per_s >= options_.wait_high_s_per_s;
-  const bool idle =
-      signals.queue_depth <= options_.depth_low_per_executor * r &&
-      signals.in_flight < r &&
-      signals.queue_wait_s_per_s <= options_.wait_low_s_per_s;
-
-  if (pressured) {
-    ++up_streak_;
-    down_streak_ = 0;
-  } else if (idle) {
-    ++down_streak_;
-    up_streak_ = 0;
-  } else {
-    // In the dead zone between the thresholds neither streak grows —
-    // that's the hysteresis band keeping a borderline load from flapping.
-    up_streak_ = 0;
-    down_streak_ = 0;
-  }
-
-  if (up_streak_ >= options_.scale_up_ticks && resident_ < hi) {
-    ++resident_;
-    up_streak_ = 0;
-    d.scaled_up = true;
-  } else if (down_streak_ >= options_.scale_down_ticks && resident_ > lo) {
-    --resident_;
-    down_streak_ = 0;
-    d.scaled_down = true;
-  }
-
-  // --- Gang-formation window --------------------------------------------
   const double mean_gang = signals.gangs_per_s > 0.0
                                ? signals.gang_members_per_s / signals.gangs_per_s
                                : 0.0;
@@ -153,7 +102,6 @@ AdaptiveDecision AdaptiveController::step(const AdaptiveSignals& signals) {
     }
   }
 
-  d.resident = resident_;
   d.gang_window =
       window_open_ ? options_.gang_window : std::chrono::microseconds{0};
   return d;
@@ -181,36 +129,12 @@ AdaptiveSignals AdaptiveController::signals_from(
       static_cast<double>(cur.mono_ms - prev.mono_ms) / 1000.0;
   if (s.interval_s <= 0.0) return s;
 
-  if (const std::int64_t* g = cur.snapshot.gauge("scheduler.queue_depth")) {
-    s.queue_depth = static_cast<double>(*g);
-  }
-  if (const std::int64_t* g = cur.snapshot.gauge("scheduler.in_flight")) {
-    s.in_flight = static_cast<double>(*g);
-  }
   s.arrival_qps =
       counter_rate_for(prev, cur, "scheduler.enqueued", s.interval_s);
-  s.completion_qps =
-      counter_rate_for(prev, cur, "scheduler.completed", s.interval_s);
   s.gangs_per_s = counter_rate_for(prev, cur, "batch.gangs", s.interval_s);
   s.gang_members_per_s =
       counter_rate_for(prev, cur, "batch.members", s.interval_s);
-
-  // Histogram sum delta: seconds of queue wait accumulated per second of
-  // wall time.  Resets (sum shrank) report as 0 rather than a negative
-  // rate — the next interval recovers.
-  const obs::HistogramSnapshot* hp =
-      prev.snapshot.histogram("scheduler.queue_wait_s");
-  const obs::HistogramSnapshot* hc =
-      cur.snapshot.histogram("scheduler.queue_wait_s");
-  if (hp != nullptr && hc != nullptr && hc->sum >= hp->sum) {
-    s.queue_wait_s_per_s = (hc->sum - hp->sum) / s.interval_s;
-  }
   return s;
-}
-
-std::size_t AdaptiveController::resident() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return resident_;
 }
 
 std::chrono::microseconds AdaptiveController::gang_window() const {
@@ -232,13 +156,9 @@ void AdaptiveController::thread_main() {
 void AdaptiveController::apply(const AdaptiveDecision& d) {
   AdaptiveMetrics& m = adaptive_metrics();
   m.ticks.add();
-  if (d.scaled_up) m.scale_ups.add();
-  if (d.scaled_down) m.scale_downs.add();
   if (d.window_opened) m.window_opens.add();
   if (d.window_closed) m.window_closes.add();
-  m.resident_target.set(static_cast<std::int64_t>(d.resident));
   m.gang_window_us.set(static_cast<std::int64_t>(d.gang_window.count()));
-  if (actuators_.set_resident) actuators_.set_resident(d.resident);
   if (actuators_.set_gang_window) actuators_.set_gang_window(d.gang_window);
 }
 

@@ -1,37 +1,28 @@
 // Adaptive runtime controller: closes the loop from the telemetry
 // sampler's time series back onto the runtime's dynamic knobs.
 //
-// The serving tier's two throughput knobs were static at construction:
-// the executor pool's resident cap (warm node-thread executors kept
-// between submits) and the submission service's gang-formation window.
-// The paper's runtime wins come from keeping disk, network and compute
-// saturated *without* overcommitting — which depends on offered load,
-// so the right values change minute to minute.  AdaptiveController is a
-// small feedback controller that reads the sampler ring (obs/sampler.hpp)
-// each tick and actuates:
-//
-//   * resident executors, inside a [min_resident, max_resident] band:
-//     scale up on sustained scheduler queue depth or queue-wait
-//     accumulation, decay back down when the queue is idle.  Streak
-//     counters (scale_up_ticks / scale_down_ticks consecutive
-//     observations) provide hysteresis so a noisy signal cannot flap
-//     the band.
-//   * the gang-formation window: opened only when the arrival rate says
-//     near-simultaneous overlapping queries are likely (batching wins),
-//     closed again under light load — and closed early when the batch.*
-//     series show gangs are forming but not actually sharing (mean gang
-//     size ~ 1) — so idle-period latency is never taxed by the wait.
+// The submission service's gang-formation window was static at
+// construction.  Batching wins only when near-simultaneous overlapping
+// queries are likely, which depends on offered load, so the right value
+// changes minute to minute.  AdaptiveController is a small feedback
+// controller that reads the sampler ring (obs/sampler.hpp) each tick and
+// actuates the gang-formation window: opened only when the arrival rate
+// says overlapping queries are likely, closed again under light load —
+// and closed early when the batch.* series show gangs are forming but
+// not actually sharing (mean gang size ~ 1) — so idle-period latency is
+// never taxed by the wait.  Streak counters (scale_up_ticks /
+// scale_down_ticks consecutive observations) provide hysteresis so a
+// noisy signal cannot flap the window.
 //
 // Decisions are a pure function of (signals, internal streak state):
 // step() takes an explicit AdaptiveSignals and returns the decision, so
 // tests drive the controller over synthetic time series without a
-// sampler, a clock, or a running pool.  The background thread is a thin
-// shell: extract signals from the two newest ring samples, step, apply
-// through the injected actuators.
+// sampler, a clock, or a running server.  The background thread is a
+// thin shell: extract signals from the two newest ring samples, step,
+// apply through the injected actuator.
 //
-// Metrics: adaptive.ticks/scale_ups/scale_downs/window_opens/
-// window_closes counters and adaptive.resident_target /
-// adaptive.gang_window_us gauges (catalog: docs/observability.md).
+// Metrics: adaptive.ticks/window_opens/window_closes counters and the
+// adaptive.gang_window_us gauge (catalog: docs/observability.md).
 // Policy walkthrough: docs/scheduling.md.
 #pragma once
 
@@ -48,29 +39,15 @@
 namespace adr {
 
 /// Controller tuning.  Defaults are deliberately conservative: a burst
-/// must persist for scale_up_ticks sampler intervals before the band
-/// moves, and decay takes scale_down_ticks idle intervals.
+/// must persist for scale_up_ticks sampler intervals before the window
+/// opens, and closing takes scale_down_ticks quiet intervals.
 struct AdaptiveOptions {
   /// Master switch (RuntimeConfig carries this struct; a disabled
   /// controller is never constructed).
   bool enabled = false;
 
-  /// Resident-executor band the controller moves within.
-  std::size_t min_resident = 1;
-  std::size_t max_resident = 8;
-  /// Scale up when queue depth >= depth_high_per_executor * resident
-  /// target; eligible to decay when depth <= depth_low_per_executor *
-  /// resident target and the executors are not all busy.
-  double depth_high_per_executor = 2.0;
-  double depth_low_per_executor = 0.5;
-  /// Secondary pressure signal: queue-wait seconds accumulated per
-  /// second of wall time (delta of the scheduler.queue_wait_s sum).
-  /// Above wait_high the queue is hurting even if depth looks modest;
-  /// below wait_low it corroborates idleness.
-  double wait_high_s_per_s = 0.5;
-  double wait_low_s_per_s = 0.05;
-  /// Hysteresis: consecutive pressured / idle ticks required before the
-  /// resident target moves one step.
+  /// Hysteresis: consecutive busy / quiet ticks required before the
+  /// gang window opens / closes.
   int scale_up_ticks = 2;
   int scale_down_ticks = 5;
 
@@ -87,9 +64,6 @@ struct AdaptiveOptions {
   /// Background thread poll period (decisions still advance at the
   /// sampler's cadence — a tick without a new ring sample is a no-op).
   std::chrono::milliseconds tick{200};
-  /// Construct executors up to the new target on scale-up instead of
-  /// waiting for demand to pay the thread-spawn latency.
-  bool prewarm = true;
 };
 
 /// One tick's input, extracted from two adjacent sampler ring samples
@@ -97,28 +71,17 @@ struct AdaptiveOptions {
 struct AdaptiveSignals {
   /// Interval between the two samples; <= 0 invalidates the rates.
   double interval_s = 1.0;
-  /// scheduler.queue_depth / scheduler.in_flight gauges (newest sample).
-  double queue_depth = 0.0;
-  double in_flight = 0.0;
   /// scheduler.enqueued rate over the interval (accepted arrivals/s).
   double arrival_qps = 0.0;
-  /// scheduler.completed rate over the interval.
-  double completion_qps = 0.0;
-  /// scheduler.queue_wait_s histogram *sum* delta per second: seconds of
-  /// queue wait accumulated per second of wall time.
-  double queue_wait_s_per_s = 0.0;
   /// batch.gangs / batch.members rates (the overlap signal).
   double gangs_per_s = 0.0;
   double gang_members_per_s = 0.0;
 };
 
-/// What one step decided.  resident/gang_window are the *current*
-/// targets (post-decision); the booleans flag this step's transitions.
+/// What one step decided.  gang_window is the *current* target
+/// (post-decision); the booleans flag this step's transitions.
 struct AdaptiveDecision {
-  std::size_t resident = 0;
   std::chrono::microseconds gang_window{0};
-  bool scaled_up = false;
-  bool scaled_down = false;
   bool window_opened = false;
   bool window_closed = false;
 };
@@ -126,10 +89,8 @@ struct AdaptiveDecision {
 class AdaptiveController {
  public:
   /// How decisions reach the runtime.  Injected so the controller never
-  /// holds pool/scheduler locks itself (and so tests can record calls).
+  /// holds scheduler locks itself (and so tests can record calls).
   struct Actuators {
-    /// Apply a new resident-executor target (band already enforced).
-    std::function<void(std::size_t)> set_resident;
     /// Apply a new gang-formation window (0 = closed).
     std::function<void(std::chrono::microseconds)> set_gang_window;
   };
@@ -140,8 +101,8 @@ class AdaptiveController {
   AdaptiveController(const AdaptiveController&) = delete;
   AdaptiveController& operator=(const AdaptiveController&) = delete;
 
-  /// Applies the initial targets (min_resident, window closed) and
-  /// spawns the tick thread.  No-op when already started.
+  /// Applies the initial target (window closed) and spawns the tick
+  /// thread.  No-op when already started.
   void start();
   /// Joins the tick thread.  Safe to call repeatedly / without start().
   void stop();
@@ -162,8 +123,7 @@ class AdaptiveController {
   static AdaptiveSignals signals_from(const obs::TelemetrySample& prev,
                                       const obs::TelemetrySample& cur);
 
-  /// Current targets (what the last step decided).
-  std::size_t resident() const;
+  /// Current target (what the last step decided).
   std::chrono::microseconds gang_window() const;
 
   const AdaptiveOptions& options() const { return options_; }
@@ -176,10 +136,7 @@ class AdaptiveController {
   const Actuators actuators_;
 
   mutable std::mutex mutex_;
-  std::size_t resident_ = 1;
   bool window_open_ = false;
-  int up_streak_ = 0;
-  int down_streak_ = 0;
   int open_streak_ = 0;
   int close_streak_ = 0;
   /// mono_ms of the newest ring sample already consumed by tick_now().

@@ -9,13 +9,17 @@
 //                    completions fire in virtual time, costs come from the
 //                    hardware models.  Used for the paper-scale
 //                    (8..128 node) experiments.
-//  * ThreadExecutor- one real thread per node with real chunk payloads;
-//                    completions fire in wall time.  Used for correctness
-//                    validation and the runnable examples.
+//  * ThreadExecutor- one run's context on the shared NodeRuntime (one
+//                    real thread per node, shared by every run in
+//                    flight) with real chunk payloads; completions fire
+//                    in wall time.  Used for correctness validation, the
+//                    runnable examples and the serving stack.
 //
-// Concurrency contract: all callbacks for node n are serialized in node
-// n's context; distinct nodes may run concurrently (thread executor).  A
-// node must not touch another node's state except by send().
+// Concurrency contract (per run): all callbacks of one run for node n
+// are serialized, in FIFO order, in node n's context; distinct nodes may
+// run concurrently, and so may other runs' callbacks for the same node.
+// A node must not touch another node's state except by send(), and a
+// run must not touch another run's state at all.
 #pragma once
 
 #include <cstdint>
@@ -90,10 +94,10 @@ class Executor {
   /// Current time in seconds on the executor's clock.
   virtual double now_seconds() const = 0;
 
-  /// CPU seconds the backend's worker threads spent inside the most
-  /// recent run() (the cost ledger's thread-CPU attribution).  0 when
-  /// the backend has no real threads (the simulator) or the platform
-  /// cannot read per-thread CPU clocks.
+  /// CPU seconds the backend's threads spent on this run's work inside
+  /// the most recent run() (the cost ledger's thread-CPU attribution).
+  /// 0 when the backend has no real threads (the simulator) or the
+  /// platform cannot read per-thread CPU clocks.
   virtual double last_run_cpu_seconds() const { return 0.0; }
 };
 

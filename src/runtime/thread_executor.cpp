@@ -1,8 +1,5 @@
 #include "runtime/thread_executor.hpp"
 
-#include <pthread.h>
-#include <time.h>
-
 #include <algorithm>
 #include <cassert>
 #include <chrono>
@@ -11,110 +8,49 @@
 #include "common/fault.hpp"
 
 namespace adr {
-namespace {
 
-/// The Worker whose thread this is (null off the node threads): lets
-/// compute() check that it is called in its node's context.
-thread_local const void* current_worker = nullptr;
-
-}  // namespace
-
-ThreadExecutor::ThreadExecutor(int num_nodes, int disks_per_node, ChunkStore* store)
-    : disks_per_node_(disks_per_node), store_(store) {
-  assert(num_nodes >= 1);
+ThreadExecutor::ThreadExecutor(NodeRuntime& runtime, int disks_per_node, ChunkStore* store)
+    : runtime_(runtime),
+      disks_per_node_(disks_per_node),
+      store_(store),
+      strands_(static_cast<std::size_t>(runtime.num_nodes())) {
   assert(disks_per_node >= 1);
-  if (store_ != nullptr && store_->num_disks() != num_nodes * disks_per_node) {
+  if (store_ != nullptr && store_->num_disks() != num_nodes() * disks_per_node) {
     throw std::invalid_argument("ThreadExecutor: store disk count mismatch");
   }
+  for (int n = 0; n < num_nodes(); ++n) {
+    strands_[static_cast<std::size_t>(n)].account = &account_;
+    strands_[static_cast<std::size_t>(n)].node = n;
+  }
   epoch_ = std::chrono::steady_clock::now();
-  workers_.reserve(static_cast<size_t>(num_nodes));
-  for (int n = 0; n < num_nodes; ++n) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  for (int n = 0; n < num_nodes; ++n) {
-    workers_[static_cast<size_t>(n)]->thread =
-        std::thread([this, n]() { worker_loop(n); });
-  }
-  // Per-thread CPU clocks for the cost ledger's thread-CPU attribution:
-  // readable from the leasing thread, so run() can difference them at
-  // its boundaries without touching the workers' hot loops.
-  worker_cpu_clocks_.assign(workers_.size(), -1);
-  for (std::size_t n = 0; n < workers_.size(); ++n) {
-    clockid_t clock;
-    if (pthread_getcpuclockid(workers_[n]->thread.native_handle(), &clock) == 0) {
-      worker_cpu_clocks_[n] = static_cast<long>(clock);
-    }
-  }
+  runtime_.attach();
 }
 
-double ThreadExecutor::workers_cpu_seconds() const {
-  double total = 0.0;
-  for (const long clock : worker_cpu_clocks_) {
-    if (clock == -1) continue;
-    timespec ts{};
-    if (clock_gettime(static_cast<clockid_t>(clock), &ts) == 0) {
-      total += static_cast<double>(ts.tv_sec) +
-               static_cast<double>(ts.tv_nsec) * 1e-9;
-    }
-  }
-  return total;
+ThreadExecutor::~ThreadExecutor() {
+  runtime_.quiesce(account_);
+  runtime_.detach();
 }
 
 double ThreadExecutor::last_run_cpu_seconds() const { return last_run_cpu_s_; }
 
-ThreadExecutor::~ThreadExecutor() {
-  for (auto& w : workers_) {
-    {
-      std::lock_guard<std::mutex> lock(w->mutex);
-      w->stop = true;
-    }
-    w->cv.notify_all();
-  }
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
-}
-
-void ThreadExecutor::worker_loop(int node) {
-  Worker& w = *workers_[static_cast<size_t>(node)];
-  current_worker = &w;
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(w.mutex);
-      w.cv.wait(lock, [&w]() { return w.stop || !w.queue.empty(); });
-      if (w.queue.empty()) return;  // stop requested and drained
-      task = std::move(w.queue.front());
-      w.queue.pop_front();
-    }
-    task();
-  }
-}
-
 void ThreadExecutor::post(int node, Task task) {
   assert(node >= 0 && node < num_nodes());
-  Worker& w = *workers_[static_cast<size_t>(node)];
-  {
-    std::lock_guard<std::mutex> lock(w.mutex);
-    w.queue.push_back(std::move(task));
-  }
-  w.cv.notify_one();
+  runtime_.post(strands_[static_cast<std::size_t>(node)], std::move(task));
 }
 
 void ThreadExecutor::read(int node, int global_disk, ChunkId id, std::uint64_t bytes,
                           ReadCallback done) {
   (void)bytes;
   assert(node_of_disk(global_disk) == node);
-  ChunkStore* store = store_;
   // A throwing fetch (disk fault, injected error) must not unwind the
   // node thread — that would terminate the process.  Record the error
   // and deliver nullopt: the engine degrades exactly as for a missing
   // chunk, the run completes, and run() rethrows the recorded status.
-  post(node, [this, store, global_disk, id, done = std::move(done)]() {
+  post(node, [this, global_disk, id, done = std::move(done)]() {
     std::optional<Chunk> chunk;
-    if (store != nullptr) {
+    if (store_ != nullptr) {
       try {
-        chunk = store->get(global_disk, id);
+        chunk = store_->get(global_disk, id);
       } catch (const StatusError& e) {
         record_run_error(e.to_status());
       } catch (const std::exception& e) {
@@ -128,12 +64,10 @@ void ThreadExecutor::read(int node, int global_disk, ChunkId id, std::uint64_t b
 void ThreadExecutor::write(int node, int global_disk, Chunk chunk, Task done) {
   assert(node_of_disk(global_disk) == node);
   (void)global_disk;
-  ChunkStore* store = store_;
-  post(node, [this, store, chunk = std::move(chunk),
-              done = std::move(done)]() mutable {
-    if (store != nullptr) {
+  post(node, [this, chunk = std::move(chunk), done = std::move(done)]() mutable {
+    if (store_ != nullptr) {
       try {
-        store->put(std::move(chunk));
+        store_->put(std::move(chunk));
       } catch (const StatusError& e) {
         record_run_error(e.to_status());
       } catch (const std::exception& e) {
@@ -160,7 +94,7 @@ void ThreadExecutor::compute(int node, double cost_seconds, Task done) {
   (void)cost_seconds;  // real work costs real time on this executor
   // Already in node's context (the contract): run the work now instead
   // of queueing it behind the node's other tasks.
-  assert(current_worker == workers_[static_cast<size_t>(node)].get());
+  assert(NodeRuntime::on_strand(strands_[static_cast<size_t>(node)]));
   (void)node;
   // Injected per-tile reduction failure: record it (failing the run
   // after completion) but still run the continuation so the engine's
@@ -216,11 +150,10 @@ void ThreadExecutor::finish(int node) {
 }
 
 double ThreadExecutor::run(std::function<void(int)> entry) {
-  // Reset per-run state so one pool of node threads serves many runs.
-  // A correctly finished run leaves the waiter lists empty (every
-  // barrier releases, every window waiter fires before finish); the
-  // clears keep a stale entry from a buggy engine from leaking into the
-  // next query.
+  // Reset per-run state so one context serves several runs.  A
+  // correctly finished run leaves the waiter lists empty (every barrier
+  // releases, every window waiter fires before finish); the clears keep
+  // a stale entry from a buggy engine from leaking into the next run.
   {
     std::lock_guard<std::mutex> lock(done_mutex_);
     finished_ = 0;
@@ -240,7 +173,7 @@ double ThreadExecutor::run(std::function<void(int)> entry) {
     window_waiters_.clear();
     epoch_completed_.clear();
   }
-  const double cpu_before = workers_cpu_seconds();
+  const std::int64_t cpu_before = account_.cpu_ns.load(std::memory_order_relaxed);
   const auto start = std::chrono::steady_clock::now();
   for (int n = 0; n < num_nodes(); ++n) {
     post(n, [entry, n]() { entry(n); });
@@ -251,10 +184,15 @@ double ThreadExecutor::run(std::function<void(int)> entry) {
     ++completed_runs_;
   }
   const auto end = std::chrono::steady_clock::now();
-  last_run_cpu_s_ = std::max(0.0, workers_cpu_seconds() - cpu_before);
-  // Surface the first node-task failure only after every node finished:
-  // the pool is quiescent, so a leased warm executor returns to the pool
-  // clean even when the query it ran failed.
+  // The tasks that called finish() may still be returning; wait them
+  // out so the next run (or the destructor) never races this one's
+  // tails, and so their CPU is billed to this run.
+  runtime_.quiesce(account_);
+  last_run_cpu_s_ = std::max<double>(
+      0.0, static_cast<double>(account_.cpu_ns.load(std::memory_order_relaxed) - cpu_before) *
+               1e-9);
+  // Surface the first node-task failure only after every node finished,
+  // so a failed run leaves no barrier or window waiter behind.
   {
     std::lock_guard<std::mutex> lock(error_mutex_);
     if (!run_error_.ok()) {

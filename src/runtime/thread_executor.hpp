@@ -1,57 +1,54 @@
-// Thread-backed executor.
+// Thread-backed executor: one run's context on the shared NodeRuntime.
 //
-// One real thread per simulated back-end node, each draining a FIFO task
-// queue; send() enqueues delivery on the destination node's queue, so the
-// distributed-memory discipline (no shared state, message passing only)
-// is preserved even though everything lives in one process.  Used to
-// validate the engine and strategies with real payloads and real
-// aggregation arithmetic.
+// The runtime owns one queue-draining thread per simulated back-end
+// node; a ThreadExecutor owns this run's strand on each of them, so
+// every task of the run on node n is serialized in FIFO order while
+// other runs' strands interleave on the same threads (see
+// runtime/node_runtime.hpp).  send() enqueues delivery on the
+// destination node's strand, so the distributed-memory discipline (no
+// shared state, message passing only) is preserved even though
+// everything lives in one process.  Used to validate the engine and
+// strategies with real payloads and real aggregation arithmetic.
 //
-// compute() runs its continuation inline on the calling node thread: the
-// engine calls it only from that node's context, and a read's
-// completion runs its aggregation in the same task that read the chunk
-// instead of queueing a second one.  The engine never changes phase
-// inline, because barrier() and window_sync() always post.
+// compute() runs its continuation inline on the calling runner: the
+// engine calls it only from that node's strand, and a read's completion
+// runs its aggregation in the same task that read the chunk instead of
+// queueing a second one.  The engine never changes phase inline,
+// because barrier() and window_sync() always post.
 //
-// Lifecycle: the node threads are spawned once in the constructor and
-// live until destruction.  run() may be called repeatedly on the same
-// pool — per-run state (finish count, barrier waiters, sliding-window
-// epochs, message handler) is reset at the start of each run, so a warm
-// executor serves query after query without respawning threads (see
-// runtime/executor_pool.hpp for the cross-submit pool).  Runs must not
-// overlap: one run() at a time per executor — two queries interleaving
-// one pool's barriers would deadlock.  Calls to set_message_handler()
-// and run() are sequenced on the leasing thread; the completed-run
-// handshake (done_mutex_) orders them against the previous run's node
-// tasks.
+// Lifecycle: construction spawns nothing.  run() may be called
+// repeatedly (a gang runs its members in turn); per-run state (finish
+// count, barrier waiters, sliding-window epochs, message handler, error)
+// is reset at the start of each run.  Runs on one context must not
+// overlap.  run() returns only once none of the context's strands has a
+// task queued or running (the destructor waits for the same), so the
+// context may be reused or destroyed as soon as run() returns.
 #pragma once
 
-#include <atomic>
+#include <chrono>
 #include <condition_variable>
-#include <deque>
-#include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/status.hpp"
 #include "runtime/executor.hpp"
+#include "runtime/node_runtime.hpp"
 #include "storage/disk_store.hpp"
 
 namespace adr {
 
 class ThreadExecutor : public Executor {
  public:
-  /// `num_nodes` worker threads over a disk farm of `disks_per_node *
-  /// num_nodes` disks stored in `store` (must be thread-safe; both
-  /// provided stores are).
-  ThreadExecutor(int num_nodes, int disks_per_node, ChunkStore* store);
+  /// A run context over `runtime`'s node threads and a disk farm of
+  /// `disks_per_node * runtime.num_nodes()` disks stored in `store`
+  /// (must be thread-safe; may be null for metadata-only runs).
+  ThreadExecutor(NodeRuntime& runtime, int disks_per_node, ChunkStore* store);
   ~ThreadExecutor() override;
 
   ThreadExecutor(const ThreadExecutor&) = delete;
   ThreadExecutor& operator=(const ThreadExecutor&) = delete;
 
-  int num_nodes() const override { return static_cast<int>(workers_.size()); }
+  int num_nodes() const override { return static_cast<int>(strands_.size()); }
   void post(int node, Task task) override;
   void read(int node, int global_disk, ChunkId id, std::uint64_t bytes,
             ReadCallback done) override;
@@ -64,21 +61,13 @@ class ThreadExecutor : public Executor {
   void finish(int node) override;
   double run(std::function<void(int)> entry) override;
   double now_seconds() const override;
-  /// Summed node-thread CPU seconds for the last run() (per-thread CPU
-  /// clocks read at the run boundaries; see obs/query_cost.hpp).
+  /// CPU seconds the runners spent on this context's strands during the
+  /// last run() (billed by the runtime; see obs/query_cost.hpp).
   double last_run_cpu_seconds() const override;
 
   int node_of_disk(int global_disk) const { return global_disk / disks_per_node_; }
 
-  /// Rebinds the store reads and writes go through.  Only valid between
-  /// runs (the completed-run handshake orders it against the previous
-  /// run's node tasks): the batch path points a leased warm executor at
-  /// its gang's shared-scan buffer, then restores the farm afterwards.
-  void set_store(ChunkStore* store) { store_ = store; }
-  ChunkStore* store() const { return store_; }
-
-  /// Completed run() calls on this pool of threads (executor-reuse
-  /// observability: threads are spawned once, runs accumulate).
+  /// Completed run() calls on this context.
   std::uint64_t completed_runs() const;
 
   /// Records a failure observed by a node task this run (storage fetch
@@ -91,22 +80,12 @@ class ThreadExecutor : public Executor {
   void record_run_error(Status status);
 
  private:
-  struct Worker {
-    std::thread thread;
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<Task> queue;
-    bool stop = false;
-  };
-
-  void worker_loop(int node);
-  /// Sum of the worker threads' CPU clocks right now (0 if unreadable).
-  double workers_cpu_seconds() const;
-
+  NodeRuntime& runtime_;
   int disks_per_node_;
-  ChunkStore* store_;
+  ChunkStore* const store_;
   MessageHandler handler_;
-  std::vector<std::unique_ptr<Worker>> workers_;
+  NodeRuntime::Account account_;
+  std::vector<NodeRuntime::Strand> strands_;
 
   std::mutex barrier_mutex_;
   std::vector<std::pair<int, Task>> barrier_waiters_;
@@ -125,11 +104,7 @@ class ThreadExecutor : public Executor {
   std::condition_variable done_cv_;
   int finished_ = 0;
   std::uint64_t completed_runs_ = 0;
-  /// Per-worker CPU clock ids (pthread_getcpuclockid; empty entry == -1
-  /// means unreadable) and the last run's summed CPU delta.  Written by
-  /// run() on the leasing thread, read after run() returns — the same
-  /// sequencing contract as set_message_handler().
-  std::vector<long> worker_cpu_clocks_;
+  /// The last run's CPU seconds; written by run(), read after it returns.
   double last_run_cpu_s_ = 0.0;
 
   /// First error recorded this run (guarded by error_mutex_; reset at

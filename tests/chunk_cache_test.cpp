@@ -1,10 +1,10 @@
-// CachingChunkStore (cross-query chunk cache) and ThreadExecutorPool
-// tests: LRU mechanics and coherence against the backing store, then the
-// Repository-level behaviour the PR exists for — a repeated query served
-// warm out of the cache on a reused executor, byte-identical to cold.
+// CachingChunkStore (cross-query chunk cache) tests: LRU mechanics and
+// coherence against the backing store, then the Repository-level
+// behaviour — a repeated query served warm out of the cache,
+// byte-identical to cold.
 //
-// The ChunkCache.Concurrent* / ExecutorPool.* suites are ThreadSanitizer
-// targets (see .github/workflows/ci.yml).
+// The ChunkCache.Concurrent* suites are ThreadSanitizer targets (see
+// .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +22,6 @@
 #include "common/fault.hpp"
 #include "core/frontend.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/executor_pool.hpp"
 #include "storage/chunk_cache.hpp"
 #include "storage/disk_store.hpp"
 #include "storage/payload_pool.hpp"
@@ -506,37 +505,6 @@ TEST(ChunkCache, OutOfRangeDiskThrows) {
   EXPECT_THROW(cache.contains(2, {1, 0}), std::out_of_range);
 }
 
-// ------------------------------------------------- ThreadExecutorPool
-
-TEST(ExecutorPool, WarmExecutorIsReusedNotRespawned) {
-  ThreadExecutorPool pool(/*num_nodes=*/2, /*disks_per_node=*/1,
-                          /*store=*/nullptr, /*max_resident=*/2);
-  { auto lease = pool.acquire(); }  // build + return one executor
-  ThreadExecutorPool::Stats s = pool.stats();
-  EXPECT_EQ(s.created, 1u);
-  EXPECT_EQ(s.resident, 1u);
-
-  {
-    auto lease = pool.acquire();  // warm: no new construction
-    EXPECT_EQ(lease->completed_runs(), 0u);
-  }
-  s = pool.stats();
-  EXPECT_EQ(s.created, 1u);
-  EXPECT_EQ(s.leases, 2u);
-  EXPECT_EQ(s.reuses, 1u);
-}
-
-TEST(ExecutorPool, AcquireNeverBlocksUnderContention) {
-  ThreadExecutorPool pool(2, 1, nullptr, /*max_resident=*/1);
-  {
-    auto a = pool.acquire();
-    auto b = pool.acquire();  // pool empty: constructs rather than waits
-    EXPECT_EQ(pool.stats().created, 2u);
-  }
-  // Only max_resident stay warm; the extra executor was destroyed.
-  EXPECT_EQ(pool.stats().resident, 1u);
-}
-
 // ------------------------------------------------- Repository-level
 
 RepositoryConfig cached_thread_config() {
@@ -594,9 +562,8 @@ Query sum_query(std::uint32_t in, std::uint32_t out) {
 
 TEST(ChunkCache, RepeatedQueryRunsWarmOnReusedExecutor) {
   // The acceptance scenario: submit the same query twice.  The second run
-  // must (a) reuse the warm executor — no new thread spawn — and (b) read
-  // its inputs out of the chunk cache, while returning byte-identical
-  // outputs.
+  // must read its inputs out of the chunk cache, on the same node threads,
+  // while returning byte-identical outputs.
   Repository repo(cached_thread_config());
   const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0),
                                       grid_chunks(8, 4));
@@ -611,12 +578,6 @@ TEST(ChunkCache, RepeatedQueryRunsWarmOnReusedExecutor) {
   EXPECT_GT(warm.stats.cache_hits, 0u)  // and surfaced through ExecStats
       << warm.stats.summary();
 
-  // Executor reuse: one pool built on first submit, leased twice.
-  const ThreadExecutorPool::Stats pool = repo.executor_pool_stats();
-  EXPECT_EQ(pool.created, 1u);
-  EXPECT_EQ(pool.leases, 2u);
-  EXPECT_EQ(pool.reuses, 1u);
-
   // The cache must not change observable results or engine-level counts.
   EXPECT_EQ(warm.chunk_reads, cold.chunk_reads);
   ASSERT_EQ(warm.outputs.size(), cold.outputs.size());
@@ -629,7 +590,6 @@ TEST(ChunkCache, RepeatedQueryRunsWarmOnReusedExecutor) {
 TEST(ChunkCache, DisabledCacheKeepsSeedBehaviour) {
   RepositoryConfig cfg = cached_thread_config();
   cfg.chunk_cache_bytes_per_node = 0;  // opt out
-  cfg.reuse_executor = false;          // seed: fresh executor per submit
   Repository repo(cfg);
   const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0),
                                       grid_chunks(4, 2));
@@ -639,7 +599,6 @@ TEST(ChunkCache, DisabledCacheKeepsSeedBehaviour) {
   const QueryResult r1 = repo.submit(sum_query(in, out));
   const QueryResult r2 = repo.submit(sum_query(in, out));
   EXPECT_EQ(r2.cache_hits, 0u);
-  EXPECT_EQ(repo.executor_pool_stats().created, 0u);  // pool never built
   ASSERT_EQ(r1.outputs.size(), r2.outputs.size());
   for (std::size_t i = 0; i < r1.outputs.size(); ++i) {
     EXPECT_EQ(r1.outputs[i].payload(), r2.outputs[i].payload());

@@ -4,13 +4,18 @@
 // byte-for-byte against the serial baseline — the built-in aggregations
 // use exact integer arithmetic, so any divergence is a real race.
 //
-// The ConcurrentSubmit / SubmissionPool suites are the ThreadSanitizer
-// targets (see .github/workflows/ci.yml).
+// The ConcurrentSubmit / SubmissionPool / NodeRuntime suites are
+// ThreadSanitizer targets (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
+
+#include <time.h>
 
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
+#include <filesystem>
+#include <future>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -19,6 +24,9 @@
 #include "core/frontend.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
+#include "obs/metrics.hpp"
+#include "runtime/node_runtime.hpp"
+#include "runtime/thread_executor.hpp"
 #include "test_helpers.hpp"
 
 namespace adr {
@@ -191,12 +199,15 @@ struct Gate {
   std::mutex mutex;
   std::condition_variable cv;
   bool open = false;
+  /// Reductions that have reached the gate (held or passed).
+  std::atomic<int> arrivals{0};
   void release() {
     std::lock_guard lock(mutex);
     open = true;
     cv.notify_all();
   }
   void pass() {
+    ++arrivals;
     std::unique_lock lock(mutex);
     cv.wait(lock, [this]() { return open; });
   }
@@ -529,6 +540,198 @@ TEST(ConcurrentServer, StopDrainsActiveConnections) {
   // Every query the server reports as served produced a delivered result.
   EXPECT_EQ(fx->server.queries_served(), static_cast<std::uint64_t>(ok.load()));
   EXPECT_EQ(fx->server.active_connections(), 0u);
+}
+
+// ------------------------------------------------------------ NodeRuntime
+// Every run shares one NodeRuntime per repository: these pin the
+// guarantees the per-query thread sets used to give for free.
+
+std::uint64_t stall_rescues() {
+  return obs::metrics().counter("runtime.stall_rescues").value();
+}
+
+std::size_t process_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+TEST(NodeRuntime, StalledQueryDoesNotBlockOtherQueries) {
+  Repository repo(thread_config(2));
+  const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(4, 2));
+  const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
+  auto gate = std::make_shared<Gate>();
+  repo.aggregations().register_op(std::make_shared<GatedCountOp>(gate));
+  const std::uint64_t rescues_before = stall_rescues();
+
+  QuerySubmissionService service(repo);
+  service.start(5);
+  Query gated = variant_query(in, out, 3);
+  gated.aggregation = "gated-count";
+  const auto held = service.enqueue(gated, {}, /*client=*/1);
+  // The gated query now holds a node thread inside a reduction.
+  while (gate->arrivals.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  std::vector<std::uint64_t> others;
+  for (int c = 0; c < 4; ++c) {
+    others.push_back(service.enqueue(variant_query(in, out, c), {}, /*client=*/2 + c));
+  }
+  for (const std::uint64_t t : others) EXPECT_TRUE(service.take(t).ok());
+  EXPECT_FALSE(service.try_take(held).has_value());  // still gated
+  EXPECT_GT(stall_rescues(), rescues_before);
+
+  gate->release();
+  EXPECT_TRUE(service.take(held).ok());
+  service.stop();
+}
+
+TEST(NodeRuntime, StrandPostedWhileRunnerWakesIsRescued) {
+  // A blocking task and another run's task posted back to back to an
+  // idle node: the second post lands before the node thread has woken,
+  // so it sees the runner idle.  Once the runner takes the blocker, the
+  // second strand must still be rescued by a helper.
+  NodeRuntime runtime(1);
+  runtime.attach();  // two runs: room for one helper
+  runtime.attach();
+  NodeRuntime::Account blocked_account;
+  NodeRuntime::Account other_account;
+  NodeRuntime::Strand blocked;
+  blocked.account = &blocked_account;
+  NodeRuntime::Strand other;
+  other.account = &other_account;
+  constexpr int kRounds = 20;
+  const std::uint64_t rescues_before = stall_rescues();
+  for (int round = 0; round < kRounds; ++round) {
+    auto gate = std::make_shared<std::promise<void>>();
+    std::shared_future<void> held = gate->get_future().share();
+    std::promise<void> ran;
+    runtime.post(blocked, [held]() { held.wait(); });
+    runtime.post(other, [&ran]() { ran.set_value(); });
+    const bool rescued =
+        ran.get_future().wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+    gate->set_value();
+    runtime.quiesce(blocked_account);
+    runtime.quiesce(other_account);
+    if (!rescued) {
+      ADD_FAILURE() << "strand not rescued in round " << round;
+      break;
+    }
+  }
+  // Most rounds need a helper; one whose blocker lands on the previous
+  // round's still-draining helper does not.
+  EXPECT_GT(stall_rescues(), rescues_before);
+  runtime.detach();
+  runtime.detach();
+}
+
+TEST(NodeRuntime, ThreadCountStaysFlatUnderConcurrentQueries) {
+  Repository repo(thread_config(4));
+  const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(8, 16));
+  const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
+  QuerySubmissionService service(repo);
+  service.start(4);
+  // The first run builds the node runtime; from then on no query spawns.
+  ASSERT_TRUE(service.take(service.enqueue(variant_query(in, out, 0))).ok());
+
+  const std::size_t before = process_threads();
+  const std::uint64_t rescues_before = stall_rescues();
+  std::vector<std::uint64_t> tickets;
+  for (int q = 0; q < 16; ++q) {
+    tickets.push_back(service.enqueue(variant_query(in, out, q), {}, /*client=*/q));
+  }
+  std::size_t lo = before;
+  std::size_t hi = before;
+  while (service.pending() > 0) {
+    const std::size_t now = process_threads();
+    lo = std::min(lo, now);
+    hi = std::max(hi, now);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (const std::uint64_t t : tickets) EXPECT_TRUE(service.take(t).ok());
+  // No query spawns a thread.  The only extra threads allowed are stall
+  // helpers, which a long wait or a descheduled runner can set off:
+  // at most one per rescue, and each exits once its node has caught up.
+  const std::uint64_t rescues = stall_rescues() - rescues_before;
+  EXPECT_EQ(lo, before);
+  EXPECT_LE(hi - before, rescues);
+  for (int i = 0; i < 1000 && process_threads() != before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(process_threads(), before);
+  service.stop();
+}
+
+TEST(NodeRuntime, ContextDestroyedAsSoonAsRunReturns) {
+  // Each node sends a message to its neighbour and finishes on receipt,
+  // then keeps working in the same task: that tail runs after the last
+  // finish() may have released run(), so the context must outlive it.
+  // 200 contexts come and go across 4 concurrent callers, each freed the
+  // moment run() returns (on the heap, so a late touch is a
+  // heap-use-after-free under ASan).
+  constexpr int kNodes = 4;
+  NodeRuntime runtime(kNodes);
+  std::atomic<int> tails{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&]() {
+      for (int r = 0; r < 50; ++r) {
+        auto exec = std::make_unique<ThreadExecutor>(runtime, 1, nullptr);
+        exec->set_message_handler([&exec = *exec, &tails](const Message& msg) {
+          exec.finish(msg.dst);
+          exec.post(msg.dst, [&tails]() { ++tails; });
+          ++tails;
+        });
+        exec->run([&exec = *exec](int node) {
+          Message msg;
+          msg.src = node;
+          msg.dst = (node + 1) % kNodes;
+          exec.send(std::move(msg));
+        });
+        exec.reset();
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(tails.load(), 200 * kNodes * 2);
+}
+
+TEST(NodeRuntime, ConcurrentRunsEachBillTheirOwnCpu) {
+  RepositoryConfig cfg = thread_config(4);
+  cfg.marginal_cache_bytes = 0;  // both queries must execute
+  Repository repo(cfg);
+  const auto in = repo.create_dataset("in", Rect::cube(2, 0.0, 1.0), grid_inputs(8, 4096));
+  const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
+  ASSERT_TRUE(repo.submit(variant_query(in, out, 0)).outputs.size() > 0);  // runtime up
+
+  std::latch start(2);
+  QueryResult results[2];
+  const double cpu_before = process_cpu_seconds();
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&, i]() {
+      Query q = variant_query(in, out, 3);  // the full domain
+      q.strategy = i == 0 ? StrategyKind::kFRA : StrategyKind::kDA;
+      start.arrive_and_wait();
+      results[i] = repo.submit(q);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const double cpu_delta = process_cpu_seconds() - cpu_before;
+
+  EXPECT_GT(results[0].stats.thread_cpu_s, 0.0);
+  EXPECT_GT(results[1].stats.thread_cpu_s, 0.0);
+  EXPECT_LE(results[0].stats.thread_cpu_s + results[1].stats.thread_cpu_s, cpu_delta);
 }
 
 }  // namespace

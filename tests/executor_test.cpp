@@ -18,6 +18,7 @@ namespace {
 struct Harness {
   std::unique_ptr<sim::SimCluster> cluster;
   std::unique_ptr<MemoryChunkStore> store;
+  std::unique_ptr<NodeRuntime> runtime;
   std::unique_ptr<Executor> executor;
 };
 
@@ -30,7 +31,8 @@ Harness make_harness(bool simulated, int nodes, int disks_per_node = 1) {
     h.cluster = std::make_unique<sim::SimCluster>(cfg);
     h.executor = std::make_unique<SimExecutor>(h.cluster.get(), h.store.get());
   } else {
-    h.executor = std::make_unique<ThreadExecutor>(nodes, disks_per_node, h.store.get());
+    h.runtime = std::make_unique<NodeRuntime>(nodes);
+    h.executor = std::make_unique<ThreadExecutor>(*h.runtime, disks_per_node, h.store.get());
   }
   return h;
 }

@@ -555,7 +555,7 @@ TEST(ClientServer, StatsEndpointReturnsLiveMetrics) {
   EXPECT_NE(json.find("\"server.connections_accepted\":"), std::string::npos);
   EXPECT_NE(json.find("\"scheduler.completed\":"), std::string::npos);
   EXPECT_NE(json.find("\"submit.latency_s\""), std::string::npos);
-  EXPECT_NE(json.find("\"executor_pool.leases\":"), std::string::npos);
+  EXPECT_NE(json.find("\"runtime.stall_rescues\":"), std::string::npos);
   EXPECT_NE(json.find("\"chunk_cache.hits\":"), std::string::npos);
   EXPECT_EQ(json.find("\"submit.latency_s\":{\"count\":0"), std::string::npos)
       << "submit latency histogram should have samples: " << json;

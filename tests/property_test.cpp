@@ -201,7 +201,8 @@ TEST_P(EndToEndPropertyTest, StrategiesAgreeWithReference) {
     req.strategy = strategy;
     const PlannedQuery pq = plan_query(req);
 
-    ThreadExecutor exec(s.nodes, 1, &store);
+    NodeRuntime runtime(s.nodes);
+    ThreadExecutor exec(runtime, 1, &store);
     execute_query(exec, pq, input, output, &op, ComputeCosts{}, 1);
 
     for (std::uint32_t o = 0; o < s.output_mbrs.size(); ++o) {

@@ -269,7 +269,7 @@ TEST(RuntimeConfig, ValidateCatchesBadKnobs) {
   EXPECT_TRUE(RuntimeConfig{}.validate().ok());
 
   RuntimeConfig bad;
-  bad.executor_pool_size = 0;
+  bad.max_pending = 0;
   EXPECT_FALSE(bad.validate().ok());
   EXPECT_EQ(bad.validate().code, StatusCode::kInvalidArgument);
   EXPECT_THROW(bad.check(), StatusError);
@@ -280,30 +280,14 @@ TEST(RuntimeConfig, ValidateCatchesBadKnobs) {
   gangless.gang.enabled = false;  // ...unless gangs are off entirely
   EXPECT_TRUE(gangless.validate().ok());
 
-  RuntimeConfig inverted;
-  inverted.adaptive.min_resident = 8;
-  inverted.adaptive.max_resident = 2;
-  EXPECT_FALSE(inverted.validate().ok());
-
   RuntimeConfig thresholds;
-  thresholds.adaptive.depth_low_per_executor = 3.0;
-  thresholds.adaptive.depth_high_per_executor = 2.0;
+  thresholds.adaptive.gang_open_qps = 2.0;
+  thresholds.adaptive.gang_close_qps = 8.0;
   EXPECT_FALSE(thresholds.validate().ok());
-
-  // Adaptive enabled: the static pool size must not exceed the band cap,
-  // or the controller's first decision would tear down warm executors.
-  RuntimeConfig mismatched;
-  mismatched.adaptive.enabled = true;
-  mismatched.adaptive.max_resident = 2;
-  mismatched.executor_pool_size = 4;
-  EXPECT_FALSE(mismatched.validate().ok());
-  mismatched.executor_pool_size = 2;
-  EXPECT_TRUE(mismatched.validate().ok());
 }
 
 TEST(RuntimeConfig, RepositoryAndServiceAdoptKnobs) {
   RuntimeConfig runtime;
-  runtime.executor_pool_size = 3;
   runtime.max_pending = 2;
   runtime.gang.max_gang = 4;
   runtime.gang.window = std::chrono::microseconds{123};
@@ -324,7 +308,6 @@ TEST(RuntimeConfig, RepositoryAndServiceAdoptKnobs) {
   service.process_all();
   EXPECT_TRUE(service.take(t1).ok());
   EXPECT_TRUE(service.take(t2).ok());
-  EXPECT_EQ(repo.executor_pool_stats().max_resident, 3u);
 
   RuntimeConfig invalid;
   invalid.scheduler_workers = 0;
@@ -337,10 +320,7 @@ TEST(RuntimeConfig, ServerRunsWithAdaptiveController) {
   const auto out = repo.create_dataset("out", Rect::cube(2, 0.0, 1.0), grid_outputs(2));
 
   RuntimeConfig runtime;
-  runtime.executor_pool_size = 1;
   runtime.adaptive.enabled = true;
-  runtime.adaptive.min_resident = 1;
-  runtime.adaptive.max_resident = 2;
   runtime.adaptive.tick = std::chrono::milliseconds{50};
   runtime.telemetry.sample_period = std::chrono::milliseconds{50};
   ASSERT_TRUE(runtime.validate().ok());
@@ -353,9 +333,6 @@ TEST(RuntimeConfig, ServerRunsWithAdaptiveController) {
     const net::WireResult r = client.submit(basic_query(in, out));
     ASSERT_TRUE(r.ok()) << r.error();
   }
-  // The controller started from the band floor and the pool obeys it.
-  EXPECT_GE(server.adaptive()->resident(), 1u);
-  EXPECT_LE(server.adaptive()->resident(), 2u);
   server.stop();
 }
 

@@ -117,7 +117,8 @@ std::map<std::uint32_t, Scm> reference_outputs(const Pipeline& p) {
 }
 
 ExecStats run_threads(Pipeline& p, const PlannedQuery& pq, ExecOptions options = {}) {
-  ThreadExecutor exec(p.nodes, 1, p.store.get());
+  NodeRuntime runtime(p.nodes);
+  ThreadExecutor exec(runtime, 1, p.store.get());
   return execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, 1, options);
 }
 
@@ -372,7 +373,8 @@ TEST(Engine, QueryWithNoMatchingInputsCompletes) {
   EXPECT_TRUE(pq.selected_inputs.empty());
   EXPECT_FALSE(pq.selected_outputs.empty());
 
-  ThreadExecutor exec(p.nodes, 1, p.store.get());
+  NodeRuntime runtime(p.nodes);
+  ThreadExecutor exec(runtime, 1, p.store.get());
   const ExecStats stats =
       execute_query(exec, pq, left, p.output, &p.op, ComputeCosts{}, 1);
   EXPECT_EQ(stats.total_lr_pairs(), 0u);
@@ -384,7 +386,8 @@ TEST(Engine, QueryWithNoMatchingInputsCompletes) {
 TEST(Engine, MismatchedNodeCountRejected) {
   Pipeline p = make_pipeline(3, 2, 3);
   const PlannedQuery pq = p.plan(StrategyKind::kFRA, 16 * 24);
-  ThreadExecutor wrong(2, 1, nullptr);
+  NodeRuntime runtime(2);
+  ThreadExecutor wrong(runtime, 1, nullptr);
   EXPECT_THROW(execute_query(wrong, pq, p.input, p.output, nullptr, ComputeCosts{}, 1),
                std::invalid_argument);
 }

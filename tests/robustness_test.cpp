@@ -95,7 +95,8 @@ TEST(FailureInjection, MissingInputChunkDegradesGracefully) {
     p.store.erase(p.input.chunk(0).disk, p.input.chunk(0).id);
     p.store.erase(p.input.chunk(7).disk, p.input.chunk(7).id);
 
-    ThreadExecutor exec(FaultPipeline::kNodes, 1, &p.store);
+    NodeRuntime runtime(FaultPipeline::kNodes);
+    ThreadExecutor exec(runtime, 1, &p.store);
     const ExecStats stats =
         execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, 1);
 
@@ -119,7 +120,8 @@ TEST(FailureInjection, MissingOutputChunkStillInitializes) {
   // Remove a persisted output chunk; initialization reads nullopt and
   // Initialize() runs without the existing contents.
   p.store.erase(p.output.chunk(3).disk, p.output.chunk(3).id);
-  ThreadExecutor exec(FaultPipeline::kNodes, 1, &p.store);
+  NodeRuntime runtime(FaultPipeline::kNodes);
+  ThreadExecutor exec(runtime, 1, &p.store);
   execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, 1);
   auto chunk = p.store.get(p.output.chunk(3).disk, p.output.chunk(3).id);
   ASSERT_TRUE(chunk.has_value());  // rewritten by output handling
@@ -134,7 +136,8 @@ TEST(FailureInjection, MissingOutputChunkStillInitializes) {
 TEST(FailureInjection, InjectedFetchErrorFailsQueryWithTypedStatus) {
   FaultPipeline p;
   const PlannedQuery pq = p.plan(StrategyKind::kFRA);
-  ThreadExecutor exec(FaultPipeline::kNodes, 1, &p.store);
+  NodeRuntime runtime(FaultPipeline::kNodes);
+  ThreadExecutor exec(runtime, 1, &p.store);
 
   fault::ScopedFaultPlan plan(/*seed=*/21);
   fault::FaultSpec spec;
@@ -171,7 +174,8 @@ TEST(FailureInjection, InjectedFetchErrorFailsQueryWithTypedStatus) {
 TEST(FailureInjection, InjectedComputeErrorSurfacesAfterRunCompletes) {
   FaultPipeline p;
   const PlannedQuery pq = p.plan(StrategyKind::kDA);
-  ThreadExecutor exec(FaultPipeline::kNodes, 1, &p.store);
+  NodeRuntime runtime(FaultPipeline::kNodes);
+  ThreadExecutor exec(runtime, 1, &p.store);
   fault::ScopedFaultPlan plan(/*seed=*/22);
   fault::FaultSpec spec;
   spec.trigger = fault::Trigger::kOneShot;
@@ -207,14 +211,16 @@ TEST_P(FaultProperty, RetriedQueryMatchesFaultFreeRunByteForByte) {
   {
     FaultPipeline p;
     const PlannedQuery pq = p.plan(c.strategy);
-    ThreadExecutor exec(FaultPipeline::kNodes, 1, &p.store);
+    NodeRuntime runtime(FaultPipeline::kNodes);
+    ThreadExecutor exec(runtime, 1, &p.store);
     execute_query(exec, pq, p.input, p.output, &p.op, ComputeCosts{}, 1);
     golden = p.output_bytes();
   }
 
   FaultPipeline p;
   const PlannedQuery pq = p.plan(c.strategy);
-  ThreadExecutor exec(FaultPipeline::kNodes, 1, &p.store);
+  NodeRuntime runtime(FaultPipeline::kNodes);
+  ThreadExecutor exec(runtime, 1, &p.store);
   fault::ScopedFaultPlan plan(c.seed);
   if (c.rate > 0.0) {
     fault::FaultSpec spec;
@@ -377,7 +383,8 @@ TEST_P(CrossExecutorTest, SimAndThreadsAgreeOnWorkCounts) {
   const PlannedQuery pq_a = plan_for(in_a, out_a);
   const PlannedQuery pq_b = plan_for(in_b, out_b);
 
-  ThreadExecutor texec(nodes, 1, &store_a);
+  NodeRuntime runtime(nodes);
+  ThreadExecutor texec(runtime, 1, &store_a);
   const ExecStats t = execute_query(texec, pq_a, in_a, out_a, &op, ComputeCosts{}, 1);
 
   sim::SimCluster cluster(sim::ibm_sp_profile(nodes));
@@ -432,7 +439,8 @@ TEST(EmulatorPayloads, SatScenarioAggregatesIdenticallyAcrossStrategies) {
     req.memory_per_node = 20 * 72;
     req.strategy = kinds[k];
     const PlannedQuery pq = plan_query(req);
-    ThreadExecutor exec(nodes, 1, &store);
+    NodeRuntime runtime(nodes);
+    ThreadExecutor exec(runtime, 1, &store);
     execute_query(exec, pq, input, output, &op, ComputeCosts{}, 1);
     for (std::uint32_t o = 0; o < output.num_chunks(); ++o) {
       auto chunk = store.get(output.chunk(o).disk, output.chunk(o).id);
